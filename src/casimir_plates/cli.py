@@ -9,6 +9,7 @@ Subcommands: ``pressure`` (one cell), ``sweep`` (grid to CSV/text),
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -68,8 +69,8 @@ def parse_length(text: str) -> float:
     except ValueError:
         raise _UsageError(f"cannot parse length {text!r}") from None
     value *= _LENGTH_UNITS[m.group(2)]
-    if value <= 0.0:
-        raise _UsageError(f"length must be > 0, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise _UsageError(f"length must be finite and > 0, got {text!r}")
     return value
 
 
@@ -82,8 +83,8 @@ def parse_temperature(text: str) -> float:
         value = float(t)
     except ValueError:
         raise _UsageError(f"cannot parse temperature {text!r}; use e.g. 300 or 300K") from None
-    if value <= 0.0:
-        raise _UsageError(f"temperature must be > 0, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise _UsageError(f"temperature must be finite and > 0, got {text!r}")
     return value
 
 
@@ -97,8 +98,8 @@ def parse_energy(text: str) -> float:
     except ValueError:
         raise _UsageError(f"cannot parse energy {text!r}") from None
     value *= _ENERGY_UNITS[m.group(2)]
-    if value <= 0.0:
-        raise _UsageError(f"energy must be > 0, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise _UsageError(f"energy must be finite and > 0, got {text!r}")
     return value
 
 

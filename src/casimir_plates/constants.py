@@ -12,8 +12,3 @@ BOLTZMANN = 1.380649e-23  # J/K
 
 # 1 eV as an angular frequency on the imaginary axis.
 EV_RAD_PER_S = 1.519e15  # rad/s
-
-
-def ev_to_rad_per_s(energy_ev: float) -> float:
-    """Convert an energy in eV to an angular frequency in rad/s."""
-    return energy_ev * EV_RAD_PER_S

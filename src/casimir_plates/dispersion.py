@@ -8,7 +8,6 @@ assumes.  Built-in presets cover the common noble-metal choices.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -315,15 +314,3 @@ def load_permittivity_table(source, fallback: DrudeParams | None = None) -> Perm
         raise TableError(f"need at least 2 data rows, got {len(zetas)}")
     return PermittivityTable(zeta=np.array(zetas), eps=np.array(epss), fallback=fallback)
 
-
-def _module_test():  # pragma: no cover
-    io_table = io.BytesIO(b"zeta_rad_per_s,eps\n1e12,100.0\n1e14,2.0\n")
-    t = load_permittivity_table(io_table)
-    assert t.zeta_min == 1e12
-    au = material_preset("au")
-    assert abs(au.eps(au.model.omega_p) - 1.9961) < 1e-3
-    print("dispersion self-test ok")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _module_test()

@@ -7,6 +7,9 @@ shared grid, error-controlled on their sum), which is what the pressure
 solver needs to keep the TM and TE mode integrals split without doubling
 the number of evaluations.  Deterministic: ties in the error ordering are
 broken by insertion order and the final sums run left to right.
+
+:func:`kronrod_pair_panels` applies the same G7/K15 rule to a whole array of
+panels at once, for integrands that take ndarrays.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-__all__ = ["adaptive_pair_quadrature", "adaptive_quadrature", "QuadratureError"]
+import numpy as np
+
+__all__ = ["adaptive_pair_quadrature", "adaptive_quadrature", "kronrod_pair_panels", "QuadratureError"]
 
 # 15-point Kronrod abscissae (positive half) and weights; the 7-point Gauss
 # subset sits at indices 1, 3, 5, 7.
@@ -44,6 +49,10 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+
+# the 15 nodes on [-1, 1] in the order _kronrod_panel visits them:
+# centre, then -x, +x for each abscissa from the outermost in
+_NODES = np.array([0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)])
 
 _MAX_PANELS = 4000
 
@@ -75,6 +84,31 @@ def _kronrod_panel(f, a: float, b: float):
         if i % 2 == 1:
             g += _WG[i // 2] * (su + sv)
     return h * abs((ku + kv) - g), h * ku, h * kv
+
+
+def kronrod_pair_panels(f, a: np.ndarray, b: np.ndarray):
+    """:func:`_kronrod_panel` on every panel [a, b] of two same-shape arrays.
+
+    ``f`` maps an array of points of shape ``a.shape + (15,)`` to a pair of
+    arrays of that shape.  Returns arrays (err, u, v) of shape ``a.shape``
+    with the meaning of the scalar rule's results.  The node sums run in the
+    scalar rule's order, as elementwise adds, so each panel's result does
+    not depend on the other panels in the batch.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fu, fv = f(c[..., None] + h[..., None] * _NODES)
+    ku = _WGK[7] * fu[..., 0]
+    kv = _WGK[7] * fv[..., 0]
+    g = _WG[3] * (fu[..., 0] + fv[..., 0])
+    for i in range(7):
+        su = fu[..., 2 * i + 1] + fu[..., 2 * i + 2]
+        sv = fv[..., 2 * i + 1] + fv[..., 2 * i + 2]
+        ku += _WGK[i] * su
+        kv += _WGK[i] * sv
+        if i % 2 == 1:
+            g += _WG[i // 2] * (su + sv)
+    return h * np.abs((ku + kv) - g), h * ku, h * kv
 
 
 def adaptive_pair_quadrature(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,23 +209,31 @@ def _evaluate_cell(args) -> SweepRow:
     )
 
 
+def _worker_count(jobs: int, cpus: int | None, n_cells: int) -> int:
+    """Worker processes for a sweep: ``jobs``, but no more than CPUs or cells."""
+    return max(1, min(jobs, cpus or 1, n_cells))
+
+
 def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1) -> list[SweepRow]:
     """Evaluate every (pair, T, a) cell of ``spec``.
 
     Rows come back ordered by (pair in given order, T ascending, a
     ascending) regardless of ``jobs``; with jobs > 1 the cells are
     evaluated in worker processes but assembled in order, so the output is
-    identical to a sequential run.  The first failing cell aborts the whole
-    sweep, naming the offending (pair, a, T).
+    identical to a sequential run.  The pool never has more workers than
+    CPUs or cells; when that leaves one, the sweep runs in this process.
+    The first failing cell aborts the whole sweep, naming the offending
+    (pair, a, T).
     """
     cells = [
         (mat1, mat3, a, T, opts)
         for (mat1, mat3), T, a in itertools.product(spec.pairs, spec.temperatures, spec.gaps)
     ]
-    if jobs <= 1:
+    workers = _worker_count(jobs, os.cpu_count(), len(cells))
+    if workers == 1:
         return [_evaluate_cell(c) for c in cells]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_cell, cells, chunksize=max(1, len(cells) // (4 * jobs))))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_evaluate_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
 
 
 def _metadata_lines(opts: SolverOptions) -> list[str]:

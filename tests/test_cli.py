@@ -92,6 +92,10 @@ class TestPressure:
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "-4"],
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300", "--bogus"],
             ["pressure", "--gap", "200nm", "--temp", "300"],
+            ["pressure", "--pair", "Au,Au", "--gap", "1e400nm", "--temp", "300"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "nan"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "inf"],
+            ["pressure", "--pair", "My,My", "--drude", "My:1e400eV:35meV", "--gap", "200nm", "--temp", "300"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_plates import lifshitz
+from casimir_plates.constants import BOLTZMANN
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
     ConvergenceError,
@@ -15,6 +17,7 @@ from casimir_plates.lifshitz import (
     ReflectionProduct,
     SolverOptions,
     ThermalState,
+    _batch_parts,
     _term_parts,
     casimir_pressure,
     ideal_metal_pressure_T0,
@@ -310,11 +313,8 @@ class TestCasimirPressure:
         assert r.abs_pressure == -r.pressure
         n = r.m_used + 1
         assert r.m_terms.shape == r.tm_terms.shape == r.te_terms.shape == (n,)
-        assert r.y_max.shape == (n,)
         assert list(r.m_terms[:3]) == [0, 1, 2]
         assert r.te_terms[0] == 0.0
-        assert math.isnan(r.y_max[0])
-        assert r.y_max[1] == pytest.approx(r.info.gamma + 50.0, rel=1e-14)
         total = float(np.sum(r.tm_terms) + np.sum(r.te_terms))
         assert r.abs_pressure == pytest.approx(total, rel=1e-12)
         assert r.tm_share + r.te_share == pytest.approx(1.0, abs=1e-15)
@@ -326,7 +326,6 @@ class TestCasimirPressure:
             10.0 * 1.054571817e-34 * 2.99792458e8 / (2.0 * 1e-6 * 1.380649e-23 * 300.0)
         )
         assert r.info.m_ceiling == expected_ceiling
-        assert r.info.y_span == 50.0
         assert r.m_used <= r.info.m_ceiling
 
     def test_material_swap_is_bit_identical(self, au, cu):
@@ -378,6 +377,70 @@ class TestCasimirPressure:
         narrow = make_table_material(zeta=(1e11, 6e14), eps=(1e6, 1e2))
         with pytest.raises(ValueError, match="m=3"):
             casimir_pressure(PlateSystem(narrow, au, gap=1e-6), ThermalState(300.0))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Record the mg of every term the batched kernel hands to _term_parts."""
+    seen = []
+    adaptive = lifshitz._term_parts
+
+    def recording(mg, *args):
+        seen.append(mg)
+        return adaptive(mg, *args)
+
+    monkeypatch.setattr(lifshitz, "_term_parts", recording)
+    return seen
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("gap", [5e-8, 1e-7, 2e-7, 5e-7, 1e-6, 3e-6])
+    def test_terms_match_tight_adaptive_quadrature(self, au, gap):
+        th = ThermalState(1.0)
+        r = casimir_pressure(PlateSystem(au, au, gap=gap), th)
+        prefactor = BOLTZMANN * th.T / (math.pi * gap**3)
+        sample = np.unique(np.concatenate([np.arange(1, 65), np.geomspace(65, r.m_used, 40).astype(int)]))
+        worst = 0.0
+        for m in sample:
+            d = float(au.eps(th.zeta(int(m)))) - 1.0
+            tm, te = _term_parts(int(m) * r.info.gamma, d, d, 1e-13)
+            worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
+            worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
+        assert worst <= 1e-11
+
+    def test_missed_estimate_returns_the_adaptive_bits(self, au, fallbacks):
+        th = ThermalState(1.0)
+        ms = np.arange(1, 65)
+        mg = ms * th.gamma(1e-6)
+        d = au.eps(th.zeta(ms)) - 1.0
+        tm, te = _batch_parts(mg, d, d, 1e-10)
+        assert 0 < len(fallbacks) < len(ms)
+        for i in range(len(ms)):
+            if mg[i] in fallbacks:
+                assert (tm[i], te[i]) == _term_parts(float(mg[i]), float(d[i]), float(d[i]), 1e-10)
+            else:
+                assert tm[i] != 0.0 and te[i] != 0.0
+
+    def test_plate_swap_is_bit_identical_at_low_temperature(self, au, cu):
+        th = ThermalState(1.0)
+        fwd = casimir_pressure(PlateSystem(au, cu, gap=2e-7), th)
+        rev = casimir_pressure(PlateSystem(cu, au, gap=2e-7), th)
+        assert fwd.pressure == rev.pressure
+        assert np.array_equal(fwd.tm_terms, rev.tm_terms)
+        assert np.array_equal(fwd.te_terms, rev.te_terms)
+
+    def test_most_terms_take_the_batched_path(self, au, fallbacks):
+        r = casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(1.0))
+        assert len(fallbacks) <= 0.1 * r.m_used
+
+    def test_matches_single_term_evaluation(self, au):
+        system = PlateSystem(au, au, gap=1e-6)
+        th = ThermalState(300.0)
+        r = casimir_pressure(system, th)
+        prefactor = BOLTZMANN * th.T / (math.pi * 1e-6**3)
+        for m in (1, 5, r.m_used):
+            term = (r.tm_terms[m] + r.te_terms[m]) / prefactor
+            assert term == pytest.approx(matsubara_term(m, system, th), rel=1e-14)
 
 
 class TestIdealMetal:

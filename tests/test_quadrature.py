@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_plates.quadrature import (
     QuadratureError,
+    _kronrod_panel,
     adaptive_pair_quadrature,
     adaptive_quadrature,
+    kronrod_pair_panels,
 )
 
 
@@ -99,3 +102,16 @@ def test_panel_budget_exhaustion_raises():
     f = lambda x: math.sin(5e5 * x)
     with pytest.raises(QuadratureError, match="panels"):
         adaptive_quadrature(f, [0.0, 1.0], tol=1e-13)
+
+
+def test_array_panels_reproduce_the_scalar_rule_bit_for_bit():
+    # a rational integrand evaluates to the same bits as scalar or array
+    def f(y):
+        return y * y / (1.0 + y), 1.0 / (2.0 + y * y * y)
+
+    a = np.array([[0.0, 0.3, 1.7], [2.0, 5.5, 9.0]])
+    b = np.array([[0.3, 1.7, 4.0], [5.5, 9.0, 40.0]])
+    err, u, v = kronrod_pair_panels(f, a, b)
+    assert err.shape == u.shape == v.shape == a.shape
+    for idx in np.ndindex(a.shape):
+        assert (err[idx], u[idx], v[idx]) == _kronrod_panel(f, float(a[idx]), float(b[idx]))

@@ -11,6 +11,7 @@ from casimir_plates.scenarios import (
     GAP_RANGE,
     SWEEP_CSV_HEADER,
     SweepSpec,
+    _worker_count,
     diff_results_to_csv,
     gap_grid,
     group_ordering,
@@ -169,6 +170,29 @@ class TestSweep:
         sequential = sweep(spec, jobs=1)
         parallel = sweep(spec, jobs=2)
         assert sequential == parallel
+
+    @pytest.mark.parametrize(
+        ("jobs", "cpus", "cells", "expected"),
+        [
+            (1, 8, 100, 1),
+            (4, 8, 100, 4),
+            (10**6, 8, 100, 8),
+            (10**6, 64, 3, 3),
+            (4, None, 100, 1),
+            (0, 8, 100, 1),
+            (4, 8, 0, 1),
+        ],
+    )
+    def test_worker_count_is_clamped(self, jobs, cpus, cells, expected):
+        assert _worker_count(jobs, cpus, cells) == expected
+
+    def test_one_cell_never_starts_a_pool(self, au, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-cell sweep started a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        spec = SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(1e-6,))
+        assert sweep(spec, jobs=4) == sweep(spec, jobs=1)
 
     def test_failing_cell_names_its_coordinates(self, au):
         bad = make_table_material(zeta=(1e12, 1e13), eps=(1e4, 1e3))
