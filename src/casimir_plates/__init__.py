@@ -17,21 +17,17 @@ from .dispersion import (
 )
 from .lifshitz import (
     ConvergenceError,
-    IntegrationPoint,
     PlateSystem,
     PressureResult,
-    ReflectionProduct,
     SolverOptions,
     SummationInfo,
     ThermalState,
     casimir_pressure,
     ideal_metal_pressure_T0,
-    integrand,
     matsubara_term,
-    reflection_product,
     zero_frequency_term,
 )
-from .quadrature import QuadratureError, adaptive_pair_quadrature, adaptive_quadrature
+from .quadrature import QuadratureError, adaptive_pair_quadrature
 from .scenarios import (
     DiffResult,
     GAP_RANGE,

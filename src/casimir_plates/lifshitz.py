@@ -13,12 +13,13 @@ integrand has decayed by ~e^-100 at the top).  Terms are evaluated in
 batches of up to 64 as one numpy pass: every term gets 12 geometric
 G7/K15 panels with breaks m*gamma*(1 + 50/(m*gamma))**(k/12), which follow
 the scale m*gamma on which the reflection coefficients vary.  A term whose
-summed |K15 - G7| estimate misses the quadrature tolerance is recomputed
-by the adaptive Gauss-Kronrod path (split initially at m*gamma + 10); at
-default settings that happens only for a few of the smallest m.  The sum
-runs in ascending m with Kahan compensation and truncates once three
-consecutive terms each contribute less than 1e-9 of the running sum, with
-a hard ceiling m <= ceil(10 hbar c / (2 a k_B T)).
+summed |K15 - G7| estimate misses the quadrature tolerance carries on from
+those 12 panels with adaptive bisection of its worst panel; all such terms
+of a batch bisect together in one array pass.  At default settings that
+happens only for a few of the smallest m.  The sum runs in ascending m with
+Kahan compensation and truncates once three consecutive terms each
+contribute less than 1e-9 of the running sum, with a hard ceiling
+m <= ceil(10 hbar c / (2 a k_B T)).
 """
 
 from __future__ import annotations
@@ -30,20 +31,17 @@ import numpy as np
 
 from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 from .dispersion import Material
-from .quadrature import adaptive_pair_quadrature, kronrod_pair_panels
+# unused adaptive_pair_quadrature: perfbench's tracer wraps it here until ROADMAP item 2
+from .quadrature import adaptive_pair_quadrature, batched_pair_quadrature  # noqa: F401
 from .special import polylog3
 
 __all__ = [
     "PlateSystem",
     "ThermalState",
-    "IntegrationPoint",
-    "ReflectionProduct",
     "SolverOptions",
     "SummationInfo",
     "PressureResult",
     "ConvergenceError",
-    "reflection_product",
-    "integrand",
     "matsubara_term",
     "zero_frequency_term",
     "casimir_pressure",
@@ -72,9 +70,6 @@ class PlateSystem:
     mat1: Material
     mat3: Material
     gap: float
-
-    #: permittivity of the gap medium; only vacuum is supported
-    gap_eps = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.gap) and self.gap > 0.0):
@@ -110,156 +105,64 @@ class ThermalState:
         return 2.0 * math.pi * gap * BOLTZMANN * self.T / (HBAR * SPEED_OF_LIGHT)
 
 
-@dataclass(frozen=True)
-class IntegrationPoint:
-    """A point of the term-m integration domain: y >= m*gamma, so p >= 1."""
+def _reflection_coefficients(p, p2, d):
+    """TM and TE reflection coefficients of one plate, d = eps - 1, at p, p2 = p**2.
 
-    y: float
-    m: int
-    gamma: float
+    Uses the cancellation-free rearrangements
 
-    def __post_init__(self):
-        if self.m < 1 or self.gamma <= 0.0:
-            raise ValueError("need m >= 1 and gamma > 0")
-        if self.y < self.m * self.gamma:
-            raise ValueError(f"y = {self.y!r} is below m*gamma = {self.m * self.gamma!r}")
+        (eps*p - s)/(eps*p + s) = d*((d + 2)*p**2 - 1) / ((d + 1)*p + s)**2
+        (s - p)/(s + p)         = d / (s + p)**2
 
-    @property
-    def p(self) -> float:
-        """Ratio of total to Matsubara wavevector, y / (m*gamma) >= 1."""
-        return self.y / (self.m * self.gamma)
-
-    def s(self, eps: float) -> float:
-        """sqrt(eps - 1 + p**2) for one half-space."""
-        return math.sqrt(eps - 1.0 + self.p**2)
-
-
-@dataclass(frozen=True)
-class ReflectionProduct:
-    """Products of the two plates' reflection coefficients, one per mode.
-
-    Both products lie in [0, 1) for any finite eps > 1; the closed upper
-    bound 1 is admitted so the ideal-metal limit is representable.  The
-    geometric series in the integrand stays convergent either way because
-    the products always ride along with a factor e^(-2y) < 1.
+    with s = sqrt(d + p**2), which stay accurate when eps -> 1 (the TE
+    numerator s - p would otherwise lose all digits).  Arrays only.
     """
-
-    tm: float
-    te: float
-
-    def __post_init__(self):
-        for label, val in (("tm", self.tm), ("te", self.te)):
-            arr = np.asarray(val)
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValueError(f"reflection product {label} must lie in [0, 1], got {val!r}")
-
-
-def reflection_product(eps1, eps3, p) -> ReflectionProduct:
-    """TM and TE reflection products at relative wavevector p = y/(m*gamma).
-
-    Accepts scalars or ndarrays (broadcast together).  Uses the
-    cancellation-free rearrangements
-
-        (eps*p - s)/(eps*p + s) = (eps-1)*((eps+1)*p**2 - 1) / (eps*p + s)**2
-        (s - p)/(s + p)         = (eps-1) / (s + p)**2
-
-    with s = sqrt(eps - 1 + p**2), which stay accurate when eps -> 1
-    (the TE numerator s - p would otherwise lose all digits).
-
-    Raises
-    ------
-    ValueError
-        If any p < 1 or any eps <= 1.
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(p)) or np.any(p < 1.0):
-        raise ValueError("p must be finite and >= 1 (y may not lie below m*gamma)")
-    scalar = p.ndim == 0 and np.isscalar(eps1) and np.isscalar(eps3)
-    tm = 1.0
-    te = 1.0
-    for eps in (np.asarray(eps1, dtype=float), np.asarray(eps3, dtype=float)):
-        if np.any(~np.isfinite(eps)) or np.any(eps <= 1.0):
-            raise ValueError("eps must be finite and > 1")
-        d = eps - 1.0
-        p2 = p * p
-        s = np.sqrt(d + p2)
-        tm = tm * d * ((eps + 1.0) * p2 - 1.0) / (eps * p + s) ** 2
-        te = te * d / (s + p) ** 2
-    if scalar:
-        return ReflectionProduct(tm=float(tm), te=float(te))
-    return ReflectionProduct(tm=tm, te=te)
+    s = np.add(d, p2)
+    np.sqrt(s, out=s)
+    q = np.multiply(d + 1.0, p)
+    q += s
+    q *= q
+    tm = np.multiply(d + 2.0, p2)
+    tm -= 1.0
+    tm *= d
+    tm /= q
+    s += p
+    s *= s
+    return tm, np.divide(d, s, out=s)
 
 
-def integrand(y, rp: ReflectionProduct):
-    """Dimensionless term integrand y**2 * sum_modes r*e^(-2y) / (1 - r*e^(-2y)).
+def _mode_parts(y, mg, d1, d3):
+    """Integrand (TM, TE) parts y**2 * r*e^(-2y) / (1 - r*e^(-2y)) at y.
 
-    Accepts scalar or ndarray y (shapes must broadcast with rp).  A mode
-    with product exactly 0 contributes nothing; products are < 1 by
-    construction, but a degenerate r*e^(-2y) >= 1 is rejected rather than
-    silently returning garbage.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("y must be > 0")
-    x = np.exp(-2.0 * y)
-    tm_x = rp.tm * x
-    te_x = rp.te * x
-    if np.any(tm_x >= 1.0) or np.any(te_x >= 1.0):
-        raise ValueError("reflection product times e^(-2y) reached 1; integrand singular")
-    out = y * y * (tm_x / (1.0 - tm_x) + te_x / (1.0 - te_x))
-    return float(out) if out.ndim == 0 else out
-
-
-def _mode_parts(y, mg, d1, d3, sqrt=math.sqrt, exp=math.exp):
-    """Fused integrand returning the (TM, TE) parts at y.
-
-    mg = m*gamma, d1/d3 = eps-1 of the two plates at zeta_m.  Same algebra
-    as :func:`reflection_product` / :func:`integrand`.  Scalar by default,
-    for the adaptive quadrature; with ``np.sqrt`` / ``np.exp`` it takes
-    broadcasting ndarrays, for the batched kernel.  Each product is formed
-    as (plate 1 factor) * (plate 3 factor), so swapping the plates gives
-    the same bits.
+    mg = m*gamma and d1/d3 = eps-1 of the two plates at zeta_m, broadcast
+    against y; r is the product of the two plates' reflection coefficients
+    at p = y/mg >= 1.  Each product is formed as (plate 1 factor) *
+    (plate 3 factor), so swapping the plates gives the same bits; when both
+    plates pass the same array (``d3 is d1``) the factor is computed once
+    and squared, which gives those bits too.  Arrays only: it works in
+    place on its own temporaries.
     """
     p = y / mg
     p2 = p * p
-    s1 = sqrt(d1 + p2)
-    s3 = sqrt(d3 + p2)
-    q1 = (d1 + 1.0) * p + s1
-    q3 = (d3 + 1.0) * p + s3
-    tm = (d1 * ((d1 + 2.0) * p2 - 1.0) / (q1 * q1)) * (d3 * ((d3 + 2.0) * p2 - 1.0) / (q3 * q3))
-    r1 = s1 + p
-    r3 = s3 + p
-    te = (d1 / (r1 * r1)) * (d3 / (r3 * r3))
-    x = exp(-2.0 * y)
-    y2 = y * y
-    tm_x = tm * x
-    te_x = te * x
-    return y2 * tm_x / (1.0 - tm_x), y2 * te_x / (1.0 - te_x)
-
-
-def _term_breaks(mg: float, y_span: float) -> list[float]:
-    """Initial adaptive quadrature panels: split at mg+10, end at mg+y_span.
-
-    Spans beyond the default 50 keep the standard interior breaks so the
-    shared panels subdivide identically (used to show tail insensitivity).
-    """
-    offsets = [0.0, 10.0, 50.0]
-    if y_span > 50.0:
-        offsets.append(y_span)
+    tm, te = _reflection_coefficients(p, p2, d1)
+    if d3 is d1:
+        tm *= tm
+        te *= te
     else:
-        offsets = [o for o in offsets if o < y_span] + [y_span]
-    return [mg + o for o in offsets]
-
-
-def _term_parts(
-    mg: float, d1: float, d3: float, tol: float, y_span: float = 50.0
-) -> tuple[float, float]:
-    """Adaptive (TM, TE) integrals of one Matsubara term."""
-
-    def f(y: float) -> tuple[float, float]:
-        return _mode_parts(y, mg, d1, d3)
-
-    return adaptive_pair_quadrature(f, _term_breaks(mg, y_span), tol)
+        tm3, te3 = _reflection_coefficients(p, p2, d3)
+        tm *= tm3
+        te *= te3
+    x = np.multiply(y, -2.0, out=p)
+    np.exp(x, out=x)
+    y2 = np.multiply(y, y, out=p2)
+    tm *= x
+    te *= x
+    den = np.subtract(1.0, tm, out=x)
+    tm *= y2
+    tm /= den
+    np.subtract(1.0, te, out=den)
+    te *= y2
+    te /= den
+    return tm, te
 
 
 def _batch_parts(
@@ -267,31 +170,36 @@ def _batch_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    Every term gets _PANELS geometric G7/K15 panels on [mg, mg + y_span],
-    all evaluated in one array pass.  A term keeps that result when its
-    summed |K15 - G7| estimate passes the adaptive stopping test
-    max(tol, tol*|I|); any other term is recomputed by :func:`_term_parts`.
-    Sums over panels run left to right as elementwise adds, so a term's
-    result depends only on its own inputs.
+    Every term starts from _PANELS geometric G7/K15 panels on
+    [mg, mg + y_span], all evaluated in one array pass, and is refined by
+    :func:`batched_pair_quadrature` until it meets max(tol, tol*|I|).  A
+    term's result depends only on its own inputs.  Pass the same array as
+    d1 and d3 for identical plates.
     """
     lo = mg[:, None]
     breaks = lo * (1.0 + y_span / lo) ** (np.arange(_PANELS + 1) / _PANELS)
     breaks[:, 0] = mg
     breaks[:, -1] = mg + y_span
-    err, u, v = kronrod_pair_panels(
-        lambda y: _mode_parts(y, lo[..., None], d1[:, None, None], d3[:, None, None], np.sqrt, np.exp),
-        breaks[:, :-1],
-        breaks[:, 1:],
-    )
-    tm, te, est = u[:, 0].copy(), v[:, 0].copy(), err[:, 0].copy()
-    for k in range(1, _PANELS):
-        tm += u[:, k]
-        te += v[:, k]
-        est += err[:, k]
-    # NaN estimates fail the test and fall back too
-    for i in np.flatnonzero(~(est <= np.maximum(tol, tol * np.abs(tm + te)))):
-        tm[i], te[i] = _term_parts(float(mg[i]), float(d1[i]), float(d3[i]), tol, y_span)
-    return tm, te
+    same = d3 is d1
+    d1, d3 = d1[:, None], d3[:, None]
+
+    def f(y, rows):
+        e1 = d1[rows]
+        return _mode_parts(y, lo[rows], e1, e1 if same else d3[rows])
+
+    return batched_pair_quadrature(f, breaks, tol)
+
+
+def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
+    """eps - 1 of both plates at the frequencies zeta of the indices m.
+
+    Equal materials are evaluated once and return the same array twice,
+    which selects the kernel's one-factor path.
+    """
+    d1 = np.asarray(_eps_at(system.mat1, m, zeta, "mat1"), dtype=float) - 1.0
+    if system.mat3 == system.mat1:
+        return d1, d1
+    return d1, np.asarray(_eps_at(system.mat3, m, zeta, "mat3"), dtype=float) - 1.0
 
 
 def _eps_at(material: Material, m, zeta, label: str):
@@ -338,11 +246,9 @@ def matsubara_term(
     m = int(m)
     if m < 1:
         raise ValueError(f"matsubara_term needs m >= 1, got {m}")
-    zeta_m = thermal.zeta(m)
-    e1 = _eps_at(system.mat1, m, zeta_m, "mat1")
-    e3 = _eps_at(system.mat3, m, zeta_m, "mat3")
-    mg = m * thermal.gamma(system.gap)
-    tm, te = _batch_parts(np.array([mg]), np.array([e1]) - 1.0, np.array([e3]) - 1.0, tol, y_span)
+    ms = np.array([m])
+    d1, d3 = _eps_minus_one(system, ms, thermal.zeta(ms))
+    tm, te = _batch_parts(ms * thermal.gamma(system.gap), d1, d3, tol, y_span)
     return float(tm[0] + te[0])
 
 
@@ -441,7 +347,7 @@ def casimir_pressure(
 
     pressure = -(k_B T / (pi a**3)) * (|I0| + sum_{m>=1} term_m), with I0
     the closed-form zero-frequency integral and each term_m a G7/K15
-    quadrature, batched with an adaptive fallback (see the module notes).
+    quadrature, batched with array-native refinement (see the module notes).
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
 
@@ -476,10 +382,8 @@ def casimir_pressure(
     while m <= m_ceiling and not converged:
         size = min(max(target + 1 - m, extra), _MAX_BATCH)
         chunk = np.arange(m, min(m + size, m_ceiling + 1))
-        zetas = zeta1 * chunk
-        e1s = np.asarray(_eps_at(system.mat1, chunk, zetas, "mat1"), dtype=float)
-        e3s = np.asarray(_eps_at(system.mat3, chunk, zetas, "mat3"), dtype=float)
-        tm_c, te_c = _batch_parts(chunk * gamma, e1s - 1.0, e3s - 1.0, opts.quad_tol)
+        d1, d3 = _eps_minus_one(system, chunk, zeta1 * chunk)
+        tm_c, te_c = _batch_parts(chunk * gamma, d1, d3, opts.quad_tol)
         tm_chunks.append(tm_c)
         te_chunks.append(te_c)
         for term in (tm_c + te_c).tolist():

@@ -1,4 +1,4 @@
-"""Reflection products, Matsubara terms, and the pressure sum."""
+"""Reflection products, the integrand kernel, Matsubara terms, and the pressure sum."""
 
 import math
 
@@ -9,23 +9,22 @@ from hypothesis import strategies as st
 
 from casimir_plates import lifshitz
 from casimir_plates.constants import BOLTZMANN
+from casimir_plates.dispersion import Material
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
     ConvergenceError,
-    IntegrationPoint,
     PlateSystem,
-    ReflectionProduct,
     SolverOptions,
     ThermalState,
     _batch_parts,
-    _term_parts,
+    _mode_parts,
+    _reflection_coefficients,
     casimir_pressure,
     ideal_metal_pressure_T0,
-    integrand,
     matsubara_term,
-    reflection_product,
     zero_frequency_term,
 )
+from casimir_plates.quadrature import QuadratureError, adaptive_pair_quadrature
 from conftest import make_table_material
 
 # frozen reference values, all from 25 to 40 digit arbitrary-precision evaluations
@@ -40,6 +39,39 @@ I0_DELTA_QUARTER = -0.032307674474571663
 I0_DELTA_HALF = -0.067151649201005025
 IM_1UM = -1.3001257724477534e-3
 IM_50NM = -208.02012359164055
+IDEAL_METAL_EPS = 1e100  # reflection coefficients round to exactly 1
+
+
+def coefficient_products(eps1, eps3, p):
+    """TM and TE reflection-coefficient products of two plates at p, as the kernel forms them."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    tm1, te1 = _reflection_coefficients(p, p * p, np.float64(eps1) - 1.0)
+    tm3, te3 = _reflection_coefficients(p, p * p, np.float64(eps3) - 1.0)
+    return tm1 * tm3, te1 * te3
+
+
+def kernel(y, mg, eps1, eps3):
+    """The production integrand parts (TM, TE) of one term at the points y."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return _mode_parts(y, mg, np.float64(eps1) - 1.0, np.float64(eps3) - 1.0)
+
+
+def oracle_parts(mg, d, tol=1e-13):
+    """(TM, TE) of one identical-plate term by the scalar adaptive engine.
+
+    The integrand is written out here with Python floats and shares
+    nothing with the production kernel except its algebra.
+    """
+
+    def f(y):
+        p = y / mg
+        s = math.sqrt(d + p * p)
+        tm = (d * ((d + 2.0) * p * p - 1.0) / ((d + 1.0) * p + s) ** 2) ** 2
+        te = (d / (s + p) ** 2) ** 2
+        x = math.exp(-2.0 * y)
+        return y * y * tm * x / (1.0 - tm * x), y * y * te * x / (1.0 - te * x)
+
+    return adaptive_pair_quadrature(f, [mg, mg + 10.0, mg + 50.0], tol)
 
 
 class TestThermalState:
@@ -70,52 +102,22 @@ class TestThermalState:
 
 
 class TestPlateSystem:
-    def test_gap_medium_is_vacuum(self, au):
-        assert PlateSystem(au, au, gap=1e-6).gap_eps == 1.0
-
     @pytest.mark.parametrize("gap", [0.0, -1e-9, math.inf, math.nan])
     def test_rejects_bad_gap(self, au, gap):
         with pytest.raises(ValueError):
             PlateSystem(au, au, gap=gap)
 
 
-class TestIntegrationPoint:
-    def test_relative_wavevector(self):
-        pt = IntegrationPoint(y=2.0, m=2, gamma=0.5)
-        assert pt.p == 2.0
-        assert pt.s(eps=4.0) == pytest.approx(math.sqrt(4.0 - 1.0 + 4.0), rel=1e-15)
-
-    def test_lower_limit_enforced(self):
-        with pytest.raises(ValueError):
-            IntegrationPoint(y=0.9, m=2, gamma=0.5)
-        with pytest.raises(ValueError):
-            IntegrationPoint(y=1.0, m=0, gamma=0.5)
-
-
-class TestReflectionProduct:
-    def test_closed_unit_interval_accepted(self):
-        ReflectionProduct(tm=0.0, te=0.0)
-        ReflectionProduct(tm=1.0, te=1.0)
-        ReflectionProduct(tm=0.3, te=1e-20)
-
-    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, 2.0])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ReflectionProduct(tm=bad, te=0.5)
-        with pytest.raises(ValueError):
-            ReflectionProduct(tm=0.5, te=bad)
-
-
 class TestReflectionCoefficients:
     def test_hand_evaluated_example(self):
-        rp = reflection_product(2.0, 3.0, 2.0)
+        tm, te = coefficient_products(2.0, 3.0, 2.0)
         s1, s3 = math.sqrt(5.0), math.sqrt(6.0)
         tm_hand = ((4.0 - s1) / (4.0 + s1)) * ((6.0 - s3) / (6.0 + s3))
         te_hand = ((s1 - 2.0) / (s1 + 2.0)) * ((s3 - 2.0) / (s3 + 2.0))
-        assert rp.tm == pytest.approx(tm_hand, rel=1e-13)
-        assert rp.te == pytest.approx(te_hand, rel=1e-13)
-        assert rp.tm == pytest.approx(REFL_TM_232, rel=1e-12)
-        assert rp.te == pytest.approx(REFL_TE_232, rel=1e-12)
+        assert tm[0] == pytest.approx(tm_hand, rel=1e-13)
+        assert te[0] == pytest.approx(te_hand, rel=1e-13)
+        assert tm[0] == pytest.approx(REFL_TM_232, rel=1e-12)
+        assert te[0] == pytest.approx(REFL_TE_232, rel=1e-12)
 
     def test_similar_media_reduce_to_squared_coefficients(self):
         rng = np.random.default_rng(42)
@@ -125,41 +127,30 @@ class TestReflectionCoefficients:
             s = math.sqrt(eps - 1.0 + p * p)
             a_m = ((eps * p - s) / (eps * p + s)) ** 2
             b_m = ((s - p) / (s + p)) ** 2
-            rp = reflection_product(eps, eps, p)
-            assert rp.tm == pytest.approx(a_m, rel=1e-10)
-            assert rp.te == pytest.approx(b_m, rel=1e-10)
+            tm, te = coefficient_products(eps, eps, p)
+            assert tm[0] == pytest.approx(a_m, rel=1e-10)
+            assert te[0] == pytest.approx(b_m, rel=1e-10)
 
     def test_ideal_metal_limit(self):
         # TE approaches unity as 1 - 4p/sqrt(eps), slower than TM
-        rp = reflection_product(1e12, 1e12, 3.0)
-        assert rp.tm == pytest.approx(1.0, abs=1e-5)
-        assert rp.te == pytest.approx(1.0, abs=2e-5)
+        tm, te = coefficient_products(1e12, 1e12, 3.0)
+        assert tm[0] == pytest.approx(1.0, abs=1e-5)
+        assert te[0] == pytest.approx(1.0, abs=2e-5)
 
     def test_stable_at_extreme_wavevector(self):
         """Nearly transparent plates at huge p: the naive TE difference underflows
         to zero, the rearranged form keeps full precision."""
-        rp = reflection_product(1.0 + 1e-9, 1.0 + 1e-9, 1e8)
-        assert rp.te > 0.0
-        assert math.sqrt(rp.tm) == pytest.approx(4.9999999975e-10, rel=1e-9)
-        assert math.sqrt(rp.te) == pytest.approx(2.5e-26, rel=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reflection_product(2.0, 3.0, 0.999)
-        with pytest.raises(ValueError):
-            reflection_product(1.0, 3.0, 2.0)
-        with pytest.raises(ValueError):
-            reflection_product(2.0, 0.5, 2.0)
-        with pytest.raises(ValueError):
-            reflection_product(math.nan, 3.0, 2.0)
+        tm, te = coefficient_products(1.0 + 1e-9, 1.0 + 1e-9, 1e8)
+        assert te[0] > 0.0
+        assert math.sqrt(tm[0]) == pytest.approx(4.9999999975e-10, rel=1e-9)
+        assert math.sqrt(te[0]) == pytest.approx(2.5e-26, rel=1e-9)
 
     def test_array_evaluation(self):
         p = np.array([1.0, 2.0, 10.0])
-        rp = reflection_product(2.0, 3.0, p)
-        assert rp.tm.shape == (3,)
-        scalar = reflection_product(2.0, 3.0, 2.0)
-        assert rp.tm[1] == scalar.tm
-        assert rp.te[1] == scalar.te
+        tm, te = coefficient_products(2.0, 3.0, p)
+        assert tm.shape == te.shape == (3,)
+        for i, pi in enumerate(p):
+            assert (tm[i], te[i]) == tuple(x[0] for x in coefficient_products(2.0, 3.0, pi))
 
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(
@@ -168,41 +159,42 @@ class TestReflectionCoefficients:
         st.floats(min_value=1.0, max_value=1e8, allow_nan=False),
     )
     def test_products_stay_in_the_unit_interval(self, eps1, eps3, p):
-        rp = reflection_product(eps1, eps3, p)
-        assert 0.0 <= rp.tm < 1.0
-        assert 0.0 <= rp.te < 1.0
+        tm, te = coefficient_products(eps1, eps3, p)
+        assert 0.0 <= tm[0] < 1.0
+        assert 0.0 <= te[0] < 1.0
 
 
 class TestIntegrand:
     def test_zero_reflection_gives_zero(self):
-        rp = ReflectionProduct(tm=0.0, te=0.0)
-        assert integrand(1.0, rp) == 0.0
-        assert np.all(integrand(np.array([0.5, 5.0, 40.0]), rp) == 0.0)
+        tm, te = kernel([0.5, 5.0, 40.0], 0.5, 1.0, 1.0)
+        assert np.all(tm == 0.0)
+        assert np.all(te == 0.0)
 
     def test_unit_reflection_at_unit_y(self):
-        rp = ReflectionProduct(tm=1.0, te=1.0)
+        tm, te = kernel([1.0], 1.0, IDEAL_METAL_EPS, IDEAL_METAL_EPS)
         x = math.exp(-2.0)
-        assert integrand(1.0, rp) == pytest.approx(2.0 * x / (1.0 - x), rel=1e-13)
-        assert integrand(1.0, rp) == pytest.approx(INTEGRAND_UNIT_RP_Y1, rel=1e-12)
+        assert tm[0] + te[0] == pytest.approx(2.0 * x / (1.0 - x), rel=1e-13)
+        assert tm[0] + te[0] == pytest.approx(INTEGRAND_UNIT_RP_Y1, rel=1e-12)
 
     def test_negligible_beyond_the_cutoff(self):
         # even perfect reflectors leave ~1.9e-40 at y = 50
-        assert integrand(50.0, ReflectionProduct(tm=1.0, te=1.0)) < 2e-40
-        rp = reflection_product(100.0, 100.0, 1.5)
-        assert integrand(50.0, rp) < 2e-40
+        tm, te = kernel([50.0], 1.0, IDEAL_METAL_EPS, IDEAL_METAL_EPS)
+        assert tm[0] + te[0] < 2e-40
+        tm, te = kernel([50.0], 50.0 / 1.5, 100.0, 100.0)
+        assert tm[0] + te[0] < 2e-40
 
     def test_vector_matches_scalar(self):
-        rp = ReflectionProduct(tm=0.7, te=0.2)
         ys = np.array([0.3, 1.0, 4.0])
-        out = integrand(ys, rp)
-        for y, v in zip(ys, out):
-            assert integrand(float(y), rp) == v
+        tm, te = kernel(ys, 0.3, 7.0, 2.0)
+        for i, y in enumerate(ys):
+            assert (tm[i], te[i]) == tuple(x[0] for x in kernel([y], 0.3, 7.0, 2.0))
 
-    def test_rejects_nonpositive_y(self):
-        with pytest.raises(ValueError):
-            integrand(0.0, ReflectionProduct(tm=0.5, te=0.5))
-        with pytest.raises(ValueError):
-            integrand(np.array([1.0, -2.0]), ReflectionProduct(tm=0.5, te=0.5))
+    def test_plate_swap_gives_the_same_bits(self):
+        ys = np.geomspace(0.2, 50.0, 40)
+        fwd = kernel(ys, 0.2, 1e4, 3.0)
+        rev = kernel(ys, 0.2, 3.0, 1e4)
+        assert np.array_equal(fwd[0], rev[0])
+        assert np.array_equal(fwd[1], rev[1])
 
 
 class TestMatsubaraTerm:
@@ -248,9 +240,14 @@ class TestMatsubaraTerm:
         assert t1 > t2 > t5 > 0.0
 
     def test_transparent_plates_contribute_nothing(self):
-        tm, te = _term_parts(0.5, 0.0, 0.0, 1e-10)
-        assert tm == 0.0
-        assert te == 0.0
+        d = np.zeros(1)
+        tm, te = _batch_parts(np.array([0.5]), d, d, 1e-10)
+        assert tm[0] == 0.0
+        assert te[0] == 0.0
+
+    def test_panel_budget_exhaustion_raises(self, au):
+        with pytest.raises(QuadratureError, match="panels"):
+            matsubara_term(1, PlateSystem(au, au, gap=1e-6), ThermalState(1.0), tol=1e-300)
 
     def test_material_failure_names_the_frequency(self, au):
         narrow = make_table_material(zeta=(1e12, 1e13), eps=(1e4, 1e3))
@@ -334,6 +331,26 @@ class TestCasimirPressure:
         assert r1.pressure == r2.pressure
         assert r1.m_used == r2.m_used
 
+    def test_equal_plates_evaluate_eps_once_per_batch(self, au, monkeypatch):
+        calls = []
+        eps = Material.eps
+
+        def counting(material, zeta):
+            calls.append(material.name)
+            return eps(material, zeta)
+
+        monkeypatch.setattr(Material, "eps", counting)
+        twin = Material("Au twin", au.model)
+        th = ThermalState(1.0)
+        same = casimir_pressure(PlateSystem(au, au, gap=1e-6), th)
+        n_same = len(calls)
+        calls.clear()
+        pair = casimir_pressure(PlateSystem(au, twin, gap=1e-6), th)
+        assert n_same > 1 and len(calls) == 2 * n_same
+        assert same.pressure == pair.pressure
+        assert np.array_equal(same.tm_terms, pair.tm_terms)
+        assert np.array_equal(same.te_terms, pair.te_terms)
+
     def test_deterministic_across_runs(self, au):
         r1 = casimir_pressure(PlateSystem(au, au, gap=2e-7), ThermalState(300.0))
         r2 = casimir_pressure(PlateSystem(au, au, gap=2e-7), ThermalState(300.0))
@@ -380,17 +397,25 @@ class TestCasimirPressure:
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Record the mg of every term the batched kernel hands to _term_parts."""
-    seen = []
-    adaptive = lifshitz._term_parts
+def refined(monkeypatch):
+    """Record the mg of every term the kernel evaluates in a refinement pass."""
+    seen = set()
+    kernel_parts = lifshitz._mode_parts
 
-    def recording(mg, *args):
-        seen.append(mg)
-        return adaptive(mg, *args)
+    def recording(y, mg, d1, d3):
+        if y.shape[-1] != lifshitz._PANELS:
+            seen.update(mg.ravel().tolist())
+        return kernel_parts(y, mg, d1, d3)
 
-    monkeypatch.setattr(lifshitz, "_term_parts", recording)
+    monkeypatch.setattr(lifshitz, "_mode_parts", recording)
     return seen
+
+
+def _low_t_batch(au):
+    """mg and eps - 1 of the first 64 terms of Au-Au at 1 um and 1 K."""
+    th = ThermalState(1.0)
+    ms = np.arange(1, 65)
+    return ms * th.gamma(1e-6), au.eps(th.zeta(ms)) - 1.0
 
 
 class TestBatchedKernel:
@@ -403,23 +428,34 @@ class TestBatchedKernel:
         worst = 0.0
         for m in sample:
             d = float(au.eps(th.zeta(int(m)))) - 1.0
-            tm, te = _term_parts(int(m) * r.info.gamma, d, d, 1e-13)
+            tm, te = oracle_parts(int(m) * r.info.gamma, d)
             worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
             worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
         assert worst <= 1e-11
 
-    def test_missed_estimate_returns_the_adaptive_bits(self, au, fallbacks):
-        th = ThermalState(1.0)
-        ms = np.arange(1, 65)
-        mg = ms * th.gamma(1e-6)
-        d = au.eps(th.zeta(ms)) - 1.0
-        tm, te = _batch_parts(mg, d, d, 1e-10)
-        assert 0 < len(fallbacks) < len(ms)
-        for i in range(len(ms)):
-            if mg[i] in fallbacks:
-                assert (tm[i], te[i]) == _term_parts(float(mg[i]), float(d[i]), float(d[i]), 1e-10)
+    def test_refined_terms_match_the_adaptive_oracle(self, au, refined):
+        mg, d = _low_t_batch(au)
+        tol = 1e-10
+        tm, te = _batch_parts(mg, d, d, tol)
+        assert 0 < len(refined) < len(mg)
+        for i in range(len(mg)):
+            if mg[i] in refined:
+                tm_o, te_o = oracle_parts(float(mg[i]), float(d[i]))
+                bound = max(tol, tol * (tm_o + te_o))
+                assert abs((tm[i] + te[i]) - (tm_o + te_o)) <= bound
+                assert abs(tm[i] - tm_o) <= bound
+                assert abs(te[i] - te_o) <= bound
             else:
                 assert tm[i] != 0.0 and te[i] != 0.0
+
+    def test_one_factor_path_gives_the_two_factor_bits(self, au, refined):
+        mg, d = _low_t_batch(au)
+        for tol in (1e-10, 1e-13):
+            one = _batch_parts(mg, d, d, tol)
+            two = _batch_parts(mg, d, d.copy(), tol)
+            assert np.array_equal(one[0], two[0])
+            assert np.array_equal(one[1], two[1])
+        assert refined
 
     def test_plate_swap_is_bit_identical_at_low_temperature(self, au, cu):
         th = ThermalState(1.0)
@@ -429,9 +465,9 @@ class TestBatchedKernel:
         assert np.array_equal(fwd.tm_terms, rev.tm_terms)
         assert np.array_equal(fwd.te_terms, rev.te_terms)
 
-    def test_most_terms_take_the_batched_path(self, au, fallbacks):
+    def test_most_terms_take_the_batched_path(self, au, refined):
         r = casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(1.0))
-        assert len(fallbacks) <= 0.1 * r.m_used
+        assert len(refined) <= 0.1 * r.m_used
 
     def test_matches_single_term_evaluation(self, au):
         system = PlateSystem(au, au, gap=1e-6)

@@ -9,18 +9,24 @@ from casimir_plates.quadrature import (
     QuadratureError,
     _kronrod_panel,
     adaptive_pair_quadrature,
-    adaptive_quadrature,
+    batched_pair_quadrature,
     kronrod_pair_panels,
 )
 
 
+def _scalar_integral(f, breaks, tol=1e-10):
+    """Integral of a scalar f by the pair engine, with a zero second component."""
+    u, _ = adaptive_pair_quadrature(lambda x: (f(x), 0.0), breaks, tol)
+    return u
+
+
 def test_constant_is_exact():
-    assert adaptive_quadrature(lambda x: 1.0, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+    assert _scalar_integral(lambda x: 1.0, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", [0, 3, 7, 13, 22])
 def test_polynomials_integrate_exactly(k):
-    value = adaptive_quadrature(lambda x: x**k, [0.0, 1.0], tol=1e-12)
+    value = _scalar_integral(lambda x: x**k, [0.0, 1.0], tol=1e-12)
     assert value == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
 
@@ -34,12 +40,12 @@ def test_polynomials_integrate_exactly(k):
     ],
 )
 def test_known_integrals(f, breaks, expected):
-    assert adaptive_quadrature(f, breaks, tol=1e-11) == pytest.approx(expected, rel=1e-9)
+    assert _scalar_integral(f, breaks, tol=1e-11) == pytest.approx(expected, rel=1e-9)
 
 
 def test_extra_breaks_do_not_change_the_value():
-    one = adaptive_quadrature(math.sin, [0.0, math.pi], tol=1e-12)
-    split = adaptive_quadrature(math.sin, [0.0, 0.3, 1.1, math.pi], tol=1e-12)
+    one = _scalar_integral(math.sin, [0.0, math.pi], tol=1e-12)
+    split = _scalar_integral(math.sin, [0.0, 0.3, 1.1, math.pi], tol=1e-12)
     assert split == pytest.approx(one, rel=1e-12)
 
 
@@ -56,19 +62,19 @@ def test_sharp_peak_is_resolved():
     w2 = 1e-6
     f = lambda x: 1.0 / ((x - 0.3) ** 2 + w2)
     expected = (math.atan(0.7 / 1e-3) + math.atan(0.3 / 1e-3)) / 1e-3
-    assert adaptive_quadrature(f, [0.0, 1.0], tol=1e-11) == pytest.approx(expected, rel=1e-9)
+    assert _scalar_integral(f, [0.0, 1.0], tol=1e-11) == pytest.approx(expected, rel=1e-9)
 
 
 def test_agrees_with_scipy_reference():
     scipy_integrate = pytest.importorskip("scipy.integrate")
     f = lambda x: math.exp(-x) * math.sin(3.0 * x)
-    ours = adaptive_quadrature(f, [0.0, 10.0], tol=1e-12)
+    ours = _scalar_integral(f, [0.0, 10.0], tol=1e-12)
     ref, _ = scipy_integrate.quad(f, 0.0, 10.0, epsabs=1e-13, epsrel=1e-13)
     assert ours == pytest.approx(ref, rel=1e-10)
 
 
 def test_loose_tolerance_still_bounds_the_error():
-    value = adaptive_quadrature(math.sin, [0.0, math.pi], tol=1e-3)
+    value = _scalar_integral(math.sin, [0.0, math.pi], tol=1e-3)
     assert abs(value - 2.0) <= 1e-3 * 2.0 + 1e-3
 
 
@@ -79,29 +85,24 @@ def test_deterministic_bitwise():
     assert first == second
 
 
-def test_scalar_wrapper_matches_pair_form():
-    u, _ = adaptive_pair_quadrature(lambda x: (math.exp(x), 0.0), [0.0, 1.0], tol=1e-12)
-    assert adaptive_quadrature(math.exp, [0.0, 1.0], tol=1e-12) == u
-
-
 def test_rejects_bad_breaks_and_tolerance():
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, [1.0, 0.0])
+        _scalar_integral(math.sin, [1.0, 0.0])
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, [0.0])
+        _scalar_integral(math.sin, [0.0])
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, [0.0, 0.0, 1.0])
+        _scalar_integral(math.sin, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, [0.0, 1.0], tol=0.0)
+        _scalar_integral(math.sin, [0.0, 1.0], tol=0.0)
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, [0.0, 1.0], tol=-1e-10)
+        _scalar_integral(math.sin, [0.0, 1.0], tol=-1e-10)
 
 
 def test_panel_budget_exhaustion_raises():
     """An unresolvable oscillation must fail loudly, not spin or return junk."""
     f = lambda x: math.sin(5e5 * x)
     with pytest.raises(QuadratureError, match="panels"):
-        adaptive_quadrature(f, [0.0, 1.0], tol=1e-13)
+        _scalar_integral(f, [0.0, 1.0], tol=1e-13)
 
 
 def test_array_panels_reproduce_the_scalar_rule_bit_for_bit():
@@ -115,3 +116,27 @@ def test_array_panels_reproduce_the_scalar_rule_bit_for_bit():
     assert err.shape == u.shape == v.shape == a.shape
     for idx in np.ndindex(a.shape):
         assert (err[idx], u[idx], v[idx]) == _kronrod_panel(f, float(a[idx]), float(b[idx]))
+
+
+def _rational_pair(y, c):
+    # rational, so scalar and array evaluation give the same bits
+    return 1.0 / (c + y * y), y / (1.0 + (y - c) * (y - c))
+
+
+def test_batched_rows_reproduce_the_scalar_loop_bit_for_bit():
+    c = np.array([[1e-4], [0.3], [2.0], [50.0]])
+    breaks = np.array([np.geomspace(1e-3, 30.0, 13), np.linspace(0.0, 5.0, 13)] * 2)
+    breaks[2:] += 0.25
+    for tol in (1e-10, 1e-13):
+        u, v = batched_pair_quadrature(lambda y, rows: _rational_pair(y, c[rows]), breaks, tol)
+        for i in range(len(c)):
+            ci = float(c[i, 0])
+            assert (u[i], v[i]) == adaptive_pair_quadrature(lambda y: _rational_pair(y, ci), breaks[i], tol)
+
+
+def test_batched_panel_budget_exhaustion_raises():
+    def f(y, rows):
+        return np.sin(5e5 * y), np.zeros_like(y)
+
+    with pytest.raises(QuadratureError, match="panels"):
+        batched_pair_quadrature(f, np.linspace(0.0, 1.0, 13)[None, :], 1e-13)
