@@ -108,6 +108,24 @@ class TestPlateSystem:
             PlateSystem(au, au, gap=gap)
 
 
+class TestIntegrationPoint:
+    def test_lower_limit_enforced(self, au, monkeypatch):
+        """Terms start at m = 1 and every point the solver integrates lies
+        at y >= m*gamma, i.e. p = y/(m*gamma) >= 1."""
+        with pytest.raises(ValueError):
+            matsubara_term(0, PlateSystem(au, au, gap=1e-6), ThermalState(300.0))
+        kernel_parts = lifshitz._mode_parts
+        lowest = []
+
+        def recording(y, mg, d1, d3):
+            lowest.append(float(np.min(y / mg)))
+            return kernel_parts(y, mg, d1, d3)
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", recording)
+        casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(1.0))
+        assert lowest and min(lowest) >= 1.0
+
+
 class TestReflectionCoefficients:
     def test_hand_evaluated_example(self):
         tm, te = coefficient_products(2.0, 3.0, 2.0)
@@ -151,6 +169,13 @@ class TestReflectionCoefficients:
         assert tm.shape == te.shape == (3,)
         for i, pi in enumerate(p):
             assert (tm[i], te[i]) == tuple(x[0] for x in coefficient_products(2.0, 3.0, pi))
+
+    def test_domain_errors(self):
+        """The coefficients need eps > 1.  eps reaches the kernel only
+        through Material, whose tabulated model rejects anything else."""
+        for bad in (0.999, 1.0, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                make_table_material(eps=(1e6, bad))
 
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(
@@ -432,6 +457,28 @@ class TestBatchedKernel:
             worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
             worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
         assert worst <= 1e-11
+
+    def test_missed_estimate_returns_the_adaptive_bits(self, au, refined):
+        """A refined term gets the bits of the scalar adaptive loop run on
+        the production kernel from the batch's own 12 panels."""
+        mg, d = _low_t_batch(au)
+        tol = 1e-10
+        tm, te = _batch_parts(mg, d, d, tol)
+        lo = mg[:, None]
+        breaks = lo * (1.0 + 50.0 / lo) ** (np.arange(lifshitz._PANELS + 1) / lifshitz._PANELS)
+        breaks[:, 0] = mg
+        breaks[:, -1] = mg + 50.0
+        assert 0 < len(refined) < len(mg)
+        for i in range(len(mg)):
+            if mg[i] in refined:
+
+                def f(y, i=i):
+                    u, v = _mode_parts(np.array([y]), mg[i], d[i], d[i])
+                    return float(u[0]), float(v[0])
+
+                assert (tm[i], te[i]) == adaptive_pair_quadrature(f, breaks[i], tol)
+            else:
+                assert tm[i] != 0.0 and te[i] != 0.0
 
     def test_refined_terms_match_the_adaptive_oracle(self, au, refined):
         mg, d = _low_t_batch(au)
