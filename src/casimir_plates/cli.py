@@ -21,25 +21,18 @@ from .dispersion import (
     load_permittivity_table,
     material_preset,
     preset_names,
-    _PRESETS,
 )
-from .lifshitz import (
-    ConvergenceError,
-    PlateSystem,
-    SolverOptions,
-    ThermalState,
-    casimir_pressure,
-)
+from .lifshitz import ConvergenceError, SolverOptions
 from .quadrature import QuadratureError
 from .scenarios import (
+    PRESET_PAIRS,
+    SweepRow,
     SweepSpec,
-    _evaluate_cell,
     diff_results_to_csv,
     gap_grid,
     relative_correction_curve,
     sweep,
     sweep_rows_to_csv,
-    SweepRow,
 )
 
 __all__ = ["run", "main", "RunConfig"]
@@ -137,8 +130,8 @@ class RunConfig:
     def __init__(self, drude_specs=(), table_specs=()):
         self.custom: dict[str, Material] = {}
         for spec in drude_specs:
-            name, mat = _parse_drude_spec(spec)
-            self.custom[name.lower()] = mat
+            name, params = _parse_drude(spec, "--drude", named=True)
+            self.custom[name.lower()] = Material(name=name, model=params)
         for spec in table_specs:
             name, mat = _parse_table_spec(spec)
             self.custom[name.lower()] = mat
@@ -162,15 +155,14 @@ class RunConfig:
         return self.material(names[0]), self.material(names[1])
 
 
-def _parse_drude_spec(spec: str) -> tuple[str, Material]:
+def _parse_drude(spec: str, flag: str, named: bool) -> tuple[str, DrudeParams]:
+    """'NAME:OMEGA_P:NU' (``named``) or 'OMEGA_P:NU' -> (name or '', DrudeParams)."""
     parts = spec.split(":")
-    if len(parts) != 3 or not parts[0].strip():
-        raise _UsageError(
-            f"--drude must be NAME:OMEGA_P:NU (e.g. MyAu:9.0eV:35meV), got {spec!r}"
-        )
-    name = parts[0].strip()
-    params = DrudeParams(omega_p=parse_energy(parts[1]), nu=parse_energy(parts[2]))
-    return name, Material(name=name, model=params)
+    if len(parts) != 2 + named or (named and not parts[0].strip()):
+        form = "NAME:OMEGA_P:NU (e.g. MyAu:9.0eV:35meV)" if named else "OMEGA_P:NU"
+        raise _UsageError(f"{flag} must be {form}, got {spec!r}")
+    params = DrudeParams(omega_p=parse_energy(parts[-2]), nu=parse_energy(parts[-1]))
+    return parts[0].strip() if named else "", params
 
 
 def _parse_table_spec(spec: str) -> tuple[str, Material]:
@@ -214,7 +206,7 @@ def _cmd_pressure(args) -> int:
     gap = parse_length(args.gap)
     temp = parse_temperature(args.temp)
     opts = _solver_options(args)
-    row = _evaluate_cell((mat1, mat3, gap, temp, opts))
+    (row,) = sweep(SweepSpec(pairs=((mat1, mat3),), temperatures=(temp,), gaps=(gap,)), opts)
     if args.format == "csv":
         _emit(sweep_rows_to_csv([row], opts), args.output)
     else:
@@ -225,7 +217,7 @@ def _cmd_pressure(args) -> int:
 def _cmd_sweep(args) -> int:
     config = RunConfig(args.drude, args.table)
     if args.pairs.strip().lower() == "all":
-        names = ["Au,Au", "Au,Cu", "Cu,Cu", "Al,Al", "Al,Au", "Al,Cu"]
+        names = [",".join(p) for p in PRESET_PAIRS]
     else:
         names = [p for p in args.pairs.split(";") if p.strip()]
     pairs = tuple(config.pair(p) for p in names)
@@ -277,11 +269,12 @@ def _cmd_diff(args) -> int:
 
 def _cmd_materials(args) -> int:
     lines = ["built-in materials (Drude):"]
-    for display, wp_ev, nu_mev in _PRESETS.values():
-        mat = material_preset(display)
+    for name in preset_names():
+        model = material_preset(name).model
+        wp, nu = model.omega_p, model.nu
         lines.append(
-            f"  {display}: omega_p = {wp_ev:g} eV ({mat.model.omega_p:.5g} rad/s), "
-            f"nu = {nu_mev:g} meV ({mat.model.nu:.5g} rad/s)"
+            f"  {name}: omega_p = {wp / EV_RAD_PER_S:g} eV ({wp:.5g} rad/s), "
+            f"nu = {nu / EV_RAD_PER_S * 1e3:g} meV ({nu:.5g} rad/s)"
         )
     lines.append("units: gaps nm/um/m; temperatures K; custom Drude parameters eV/meV")
     _emit("\n".join(lines) + "\n", args.output)
@@ -289,12 +282,7 @@ def _cmd_materials(args) -> int:
 
 
 def _cmd_import_table(args) -> int:
-    fallback = None
-    if args.fallback:
-        parts = args.fallback.split(":")
-        if len(parts) != 2:
-            raise _UsageError(f"--fallback must be OMEGA_P:NU, got {args.fallback!r}")
-        fallback = DrudeParams(omega_p=parse_energy(parts[0]), nu=parse_energy(parts[1]))
+    fallback = _parse_drude(args.fallback, "--fallback", named=False)[1] if args.fallback else None
     table = load_permittivity_table(args.file, fallback=fallback)
     Material(name="imported", model=table)  # runs the monotonicity check
     lines = [

@@ -38,7 +38,12 @@ class TableError(ValueError):
 
 
 class TableRangeError(ValueError):
-    """Table queried outside its frequency range with no fallback model."""
+    """Table queried outside its range with no fallback; ``index`` is the
+    flat position of the first out-of-range query."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 def _require_positive_zeta(zeta) -> np.ndarray:
@@ -147,25 +152,22 @@ def tabulated_eps(zeta, table: PermittivityTable):
     Interpolation is linear in (ln zeta, ln(eps - 1)), which reproduces
     power-law dispersion exactly and is exact at the knots.  Queries outside
     the table range use the attached Drude fallback when present, otherwise
-    raise :class:`TableRangeError` naming the violated bound.
+    raise :class:`TableRangeError` naming the first such query and the
+    bound it violates.
     """
     z = _require_positive_zeta(zeta)
     below = z < table.zeta_min
-    above = z > table.zeta_max
-    if (below.any() or above.any()) and table.fallback is None:
-        if below.any():
-            zq = float(np.min(z))
-            raise TableRangeError(
-                f"zeta = {zq:g} rad/s is below the table minimum "
-                f"{table.zeta_min:g} rad/s and no fallback model is attached"
-            )
-        zq = float(np.max(z))
+    outside = below | (z > table.zeta_max)
+    if outside.any() and table.fallback is None:
+        i = int(np.flatnonzero(outside)[0])
+        side = "below the table minimum" if below.flat[i] else "above the table maximum"
+        bound = table.zeta_min if below.flat[i] else table.zeta_max
         raise TableRangeError(
-            f"zeta = {zq:g} rad/s is above the table maximum "
-            f"{table.zeta_max:g} rad/s and no fallback model is attached"
+            f"zeta = {z.flat[i]:g} rad/s is {side} {bound:g} rad/s "
+            "and no fallback model is attached",
+            i,
         )
     out = 1.0 + np.exp(np.interp(np.log(z), table._log_zeta, table._log_em1))
-    outside = below | above
     if outside.any():
         out = np.where(outside, drude_eps(np.asarray(z), table.fallback), out)
     return float(out) if np.isscalar(zeta) else out
@@ -175,9 +177,8 @@ def tabulated_eps(zeta, table: PermittivityTable):
 class Material:
     """A named half-space material with one permittivity model.
 
-    ``metallic`` materials have eps -> infinity as zeta -> 0+, which is what
-    the zero-frequency pressure term assumes; Drude and plasma models
-    qualify, and a table does when it carries a Drude fallback.
+    Each model also fixes what the plate reflects at zero frequency; see
+    :meth:`zero_frequency`.
     """
 
     name: str
@@ -199,12 +200,6 @@ class Material:
         elif not isinstance(self.model, (DrudeParams, PlasmaParams)):
             raise TypeError(f"unsupported model type {type(self.model).__name__}")
 
-    @property
-    def metallic(self) -> bool:
-        if isinstance(self.model, PermittivityTable):
-            return self.model.fallback is not None
-        return True
-
     def eps(self, zeta):
         """Evaluate eps(i zeta); accepts a scalar or an ndarray."""
         if isinstance(self.model, DrudeParams):
@@ -213,18 +208,20 @@ class Material:
             return plasma_eps(zeta, self.model)
         return tabulated_eps(zeta, self.model)
 
-    def static_reflection(self, zeta_floor: float | None = None) -> float:
-        """TM reflection coefficient entering the zero-frequency term.
+    def zero_frequency(self) -> tuple[float, float]:
+        """Static (r_TM, omega_TE): the TM reflection coefficient at zeta -> 0
+        and the plasma frequency (rad/s) of the static TE reflection, 0 if none.
 
-        Metallic materials give exactly 1.  A table without fallback is
-        evaluated at ``zeta_floor`` (defaults to its lowest knot).
+        Drude, or a table with a Drude fallback: (1, 0).  Plasma: (1, omega_p).
+        A table without fallback: ((e - 1)/(e + 1), 0), e its eps at the lowest knot.
         """
-        if self.metallic:
-            return 1.0
-        if zeta_floor is None:
-            zeta_floor = self.model.zeta_min
-        e = self.eps(zeta_floor)
-        return (e - 1.0) / (e + 1.0)
+        model = self.model
+        if isinstance(model, PlasmaParams):
+            return 1.0, model.omega_p
+        if isinstance(model, PermittivityTable) and model.fallback is None:
+            e = self.eps(model.zeta_min)
+            return (e - 1.0) / (e + 1.0), 0.0
+        return 1.0, 0.0
 
 
 # Drude parameters of the built-in presets, (omega_p in eV, nu in meV).

@@ -4,9 +4,11 @@ The pressure is a Matsubara sum over imaginary frequencies
 zeta_m = 2 pi m k_B T / hbar.  Each m >= 1 term is a dimensionless integral
 over y = q a (q the photon wavevector magnitude, a the gap) from
 y = m*gamma upward, where gamma = 2 pi a k_B T / (hbar c); the integrand
-carries one TM and one TE reflection-product mode.  The m = 0 term is
-evaluated in closed form through the order-3 polylogarithm.  Conventions:
-the returned pressure is negative (attractive), and the gap is vacuum.
+carries one TM and one TE reflection-product mode.  The m = 0 term follows
+each plate's :meth:`Material.zero_frequency`: a closed-form TM part (order-3
+polylogarithm) plus, for two plasma plates, a TE part by quadrature.
+Conventions: the returned pressure is negative (attractive), and the gap is
+vacuum.
 
 Numerical scheme: each term integrates over [m*gamma, m*gamma + 50] (the
 integrand has decayed by ~e^-100 at the top).  Terms are evaluated in
@@ -18,8 +20,9 @@ those 12 panels with adaptive bisection of its worst panel; all such terms
 of a batch bisect together in one array pass.  At default settings that
 happens only for a few of the smallest m.  The sum runs in ascending m with
 Kahan compensation and truncates once three consecutive terms each
-contribute less than 1e-9 of the running sum, with a hard ceiling
-m <= ceil(10 hbar c / (2 a k_B T)).
+contribute less than 1e-9 of the running sum.  The hard ceiling on m is the
+larger of ceil(10 hbar c / (2 a k_B T)) and the m at which that rule is
+expected to fire, so that large a*T leaves room for the three terms.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ __all__ = [
 # batch holds (64 * _PANELS * 15 = 11 520 integrand points)
 _PANELS = 12
 _MAX_BATCH = 64
+_Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
+#: the Matsubara sum stops after this many successive terms below sum_rel_tol
+SUM_CONSECUTIVE = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -166,20 +172,20 @@ def _mode_parts(y, mg, d1, d3):
 
 
 def _batch_parts(
-    mg: np.ndarray, d1: np.ndarray, d3: np.ndarray, tol: float, y_span: float = 50.0
+    mg: np.ndarray, d1: np.ndarray, d3: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
     Every term starts from _PANELS geometric G7/K15 panels on
-    [mg, mg + y_span], all evaluated in one array pass, and is refined by
+    [mg, mg + _Y_SPAN], all evaluated in one array pass, and is refined by
     :func:`batched_pair_quadrature` until it meets max(tol, tol*|I|).  A
     term's result depends only on its own inputs.  Pass the same array as
     d1 and d3 for identical plates.
     """
     lo = mg[:, None]
-    breaks = lo * (1.0 + y_span / lo) ** (np.arange(_PANELS + 1) / _PANELS)
+    breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
     breaks[:, 0] = mg
-    breaks[:, -1] = mg + y_span
+    breaks[:, -1] = mg + _Y_SPAN
     same = d3 is d1
     d1, d3 = d1[:, None], d3[:, None]
 
@@ -194,33 +200,22 @@ def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
     """eps - 1 of both plates at the frequencies zeta of the indices m.
 
     Equal materials are evaluated once and return the same array twice,
-    which selects the kernel's one-factor path.
+    which selects the kernel's one-factor path.  A failure is re-raised
+    naming the plate, and the m and zeta_m of the first query that failed.
     """
-    d1 = np.asarray(_eps_at(system.mat1, m, zeta, "mat1"), dtype=float) - 1.0
-    if system.mat3 == system.mat1:
-        return d1, d1
-    return d1, np.asarray(_eps_at(system.mat3, m, zeta, "mat3"), dtype=float) - 1.0
 
+    def plate(material: Material, label: str) -> np.ndarray:
+        try:
+            return np.asarray(material.eps(zeta), dtype=float) - 1.0
+        except ValueError as exc:
+            i = getattr(exc, "index", 0)
+            raise type(exc)(
+                f"material {material.name!r} ({label}) failed at m={m[i]}, "
+                f"zeta={zeta[i]:g} rad/s: {exc}"
+            ) from exc
 
-def _eps_at(material: Material, m, zeta, label: str):
-    """Evaluate eps, tagging any failure with the offending m and zeta_m."""
-    try:
-        return material.eps(zeta)
-    except Exception as exc:
-        zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=float))
-        m_arr = np.atleast_1d(np.asarray(m))
-        bad_m, bad_zeta = m_arr.flat[0], zeta_arr.flat[0]
-        if zeta_arr.size > 1:
-            for mi, zi in zip(m_arr, zeta_arr):
-                try:
-                    material.eps(float(zi))
-                except Exception:
-                    bad_m, bad_zeta = mi, zi
-                    break
-        raise type(exc)(
-            f"material {material.name!r} ({label}) failed at m={bad_m}, "
-            f"zeta={bad_zeta:g} rad/s: {exc}"
-        ) from exc
+    d1 = plate(system.mat1, "mat1")
+    return (d1, d1) if system.mat3 == system.mat1 else (d1, plate(system.mat3, "mat3"))
 
 
 def matsubara_term(
@@ -228,14 +223,12 @@ def matsubara_term(
     system: PlateSystem,
     thermal: ThermalState,
     tol: float = 1e-10,
-    y_span: float = 50.0,
 ) -> float:
     """Dimensionless integral of Matsubara term m >= 1 (TM plus TE).
 
-    Integrates over y in [m*gamma, m*gamma + y_span] to absolute-or-relative
+    Integrates over y in [m*gamma, m*gamma + 50] to absolute-or-relative
     tolerance ``tol``, with the kernel :func:`casimir_pressure` uses for
-    each term.  The default span of 50 loses less than 1e-15 of the
-    term relative to any larger span.
+    each term.
 
     Raises
     ------
@@ -248,21 +241,42 @@ def matsubara_term(
         raise ValueError(f"matsubara_term needs m >= 1, got {m}")
     ms = np.array([m])
     d1, d3 = _eps_minus_one(system, ms, thermal.zeta(ms))
-    tm, te = _batch_parts(ms * thermal.gamma(system.gap), d1, d3, tol, y_span)
+    tm, te = _batch_parts(ms * thermal.gamma(system.gap), d1, d3, tol)
     return float(tm[0] + te[0])
 
 
-def zero_frequency_term(system: PlateSystem) -> float:
-    """Closed-form m = 0 contribution, -polylog3(delta)/8 (dimensionless, < 0).
+def _zero_frequency_parts(system: PlateSystem, tol: float) -> tuple[float, float]:
+    """Magnitudes (TM, TE) of the m = 0 term, each >= 0; see zero_frequency_term.
 
-    Only the TM mode survives at zero frequency: for a Drude metal the TE
-    reflection coefficient vanishes there, so delta is the product of the
-    two static TM coefficients.  Metallic materials contribute exactly 1;
-    a table without a metallic fallback is evaluated at its lowest knot.
-    For ideal metals the value is -zeta(3)/8 = -0.1502571129.
+    The TE integrand's TM companion is zero, so the kernel's TM values at
+    p < 1 cannot steer the refinement.
     """
-    delta = system.mat1.static_reflection() * system.mat3.static_reflection()
-    return -polylog3(delta) / 8.0
+    (r1, w1), (r3, w3) = system.mat1.zero_frequency(), system.mat3.zero_frequency()
+    tm = polylog3(r1 * r3) / 8.0
+    if not (w1 > 0.0 and w3 > 0.0):
+        return tm, 0.0
+    d1, d3 = (np.array([(w * system.gap / SPEED_OF_LIGHT) ** 2]) for w in (w1, w3))
+
+    def f(y, rows):
+        te = _mode_parts(y, 1.0, d1, d3)[1]
+        return np.zeros_like(te), te
+
+    te = batched_pair_quadrature(f, np.linspace(0.0, _Y_SPAN, _PANELS + 1)[None, :], tol)[1]
+    return tm, 0.5 * float(te[0])
+
+
+def zero_frequency_term(system: PlateSystem) -> float:
+    """The m = 0 contribution (dimensionless, < 0), TM plus TE.
+
+    The plates' :meth:`Material.zero_frequency` answers (r, omega_TE) decide
+    it.  TM is -polylog3(r1*r3)/8, which is -zeta(3)/8 = -0.1502571129 for
+    two metals.  TE is exactly 0 unless both plates are plasma models.  Then,
+    with W = omega_TE*a/c, a plate's static TE coefficient at y is the
+    kernel's at p = y and eps - 1 = W**2, and TE is -1/2 times the kernel's
+    TE integral over y in [0, 50], at the default quadrature tolerance.
+    """
+    tm, te = _zero_frequency_parts(system, DEFAULT_OPTIONS.quad_tol)
+    return -(tm + te)
 
 
 @dataclass(frozen=True)
@@ -270,15 +284,14 @@ class SolverOptions:
     """Tunables of the pressure solver.
 
     quad_tol : per-term quadrature tolerance (absolute-or-relative).
-    sum_rel_tol, sum_consecutive : the Matsubara sum stops after
-        ``sum_consecutive`` successive terms each below ``sum_rel_tol``
-        times the running sum.
-    m_max : optional override of the ceiling ceil(10 hbar c/(2 a k_B T)).
+    sum_rel_tol : the Matsubara sum stops after ``SUM_CONSECUTIVE`` (3)
+        successive terms each below ``sum_rel_tol`` times the running sum.
+    m_max : optional override of the default ceiling on m (see the module
+        notes).
     """
 
     quad_tol: float = 1e-10
     sum_rel_tol: float = 1e-9
-    sum_consecutive: int = 3
     m_max: int | None = None
 
     def __post_init__(self):
@@ -286,8 +299,6 @@ class SolverOptions:
             raise ValueError(f"quad_tol must be in (0, 1), got {self.quad_tol!r}")
         if not 0.0 < self.sum_rel_tol < 1.0:
             raise ValueError(f"sum_rel_tol must be in (0, 1), got {self.sum_rel_tol!r}")
-        if self.sum_consecutive < 1:
-            raise ValueError(f"sum_consecutive must be >= 1, got {self.sum_consecutive!r}")
         if self.m_max is not None and self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max!r}")
 
@@ -307,14 +318,14 @@ class SummationInfo:
 class PressureResult:
     """Pressure in Pa (negative = attractive) plus per-term diagnostics.
 
-    ``m_terms``/``tm_terms``/``te_terms`` are aligned arrays, one row per
-    Matsubara index starting at m = 0; the term magnitudes are positive
-    contributions to |pressure| in Pa.  The m = 0 row is analytic (pure TM).
+    ``tm_terms``/``te_terms`` are aligned arrays, row m for Matsubara index
+    m = 0 .. m_used; the term magnitudes are positive contributions to
+    |pressure| in Pa.  The m = 0 TE entry is exactly 0 except for two
+    plasma plates.
     """
 
     pressure: float
     m_used: int
-    m_terms: np.ndarray
     tm_terms: np.ndarray
     te_terms: np.ndarray
     info: SummationInfo
@@ -334,10 +345,6 @@ class PressureResult:
         return 1.0 - self.tm_share
 
 
-def _sum_ceiling(gap: float, T: float) -> int:
-    return math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * gap * BOLTZMANN * T))
-
-
 def casimir_pressure(
     system: PlateSystem,
     thermal: ThermalState,
@@ -346,7 +353,8 @@ def casimir_pressure(
     """Casimir pressure between the plates of ``system`` at ``thermal.T``.
 
     pressure = -(k_B T / (pi a**3)) * (|I0| + sum_{m>=1} term_m), with I0
-    the closed-form zero-frequency integral and each term_m a G7/K15
+    the zero-frequency term (see :func:`zero_frequency_term`; its TE part
+    uses ``opts.quad_tol``) and each term_m a G7/K15
     quadrature, batched with array-native refinement (see the module notes).
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
@@ -360,19 +368,20 @@ def casimir_pressure(
     a = system.gap
     gamma = thermal.gamma(a)
     prefactor = BOLTZMANN * thermal.T / (math.pi * a**3)
-    m_ceiling = opts.m_max if opts.m_max is not None else _sum_ceiling(a, thermal.T)
-
-    i0 = zero_frequency_term(system)
-    total = -i0  # |I0|; every later term is positive
-    comp = 0.0
-    tm_chunks = []
-    te_chunks = []
-
     # Batches run up to the m where the truncation rule is expected to fire
     # (terms fall off about as e^(-2 m gamma)); past it they start small and
     # double, so short room-temperature sums compute few unused terms.
-    target = math.ceil(math.log(1.0 / opts.sum_rel_tol) / (2.0 * gamma)) + opts.sum_consecutive + 4
-    extra = opts.sum_consecutive + 4
+    extra = SUM_CONSECUTIVE + 4
+    target = math.ceil(math.log(1.0 / opts.sum_rel_tol) / (2.0 * gamma)) + extra
+    # the default ceiling never stops the sum before the rule is expected to fire
+    ceiling = math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * a * BOLTZMANN * thermal.T))
+    m_ceiling = opts.m_max or max(ceiling, target)
+
+    i0_tm, i0_te = _zero_frequency_parts(system, opts.quad_tol)
+    total = i0_tm + i0_te  # |I0|; every later term is positive
+    comp = 0.0
+    tm_chunks = []
+    te_chunks = []
     zeta1 = thermal.zeta(1)
     below = 0
     used = 0
@@ -395,7 +404,7 @@ def casimir_pressure(
             last_relative = term / total
             if term <= opts.sum_rel_tol * total:
                 below += 1
-                if below >= opts.sum_consecutive:
+                if below >= SUM_CONSECUTIVE:
                     converged = True
                     break
             else:
@@ -416,9 +425,8 @@ def casimir_pressure(
     return PressureResult(
         pressure=-prefactor * total,
         m_used=used,
-        m_terms=np.arange(used + 1, dtype=np.int64),
-        tm_terms=np.concatenate([[prefactor * (-i0)], prefactor * np.concatenate(tm_chunks)[:used]]),
-        te_terms=np.concatenate([[0.0], prefactor * np.concatenate(te_chunks)[:used]]),
+        tm_terms=np.concatenate([[prefactor * i0_tm], prefactor * np.concatenate(tm_chunks)[:used]]),
+        te_terms=np.concatenate([[prefactor * i0_te], prefactor * np.concatenate(te_chunks)[:used]]),
         info=SummationInfo(gamma=gamma, m_ceiling=m_ceiling),
     )
 

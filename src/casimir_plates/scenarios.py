@@ -20,6 +20,7 @@ from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 from .dispersion import Material, material_preset
 from .lifshitz import (
     DEFAULT_OPTIONS,
+    SUM_CONSECUTIVE,
     PlateSystem,
     PressureResult,
     SolverOptions,
@@ -33,6 +34,7 @@ __all__ = [
     "DiffResult",
     "PairGroup",
     "GAP_RANGE",
+    "PRESET_PAIRS",
     "temperature_difference",
     "relative_correction_curve",
     "sweep",
@@ -239,7 +241,7 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
 def _metadata_lines(opts: SolverOptions) -> list[str]:
     return [
         f"# solver: quad_tol={opts.quad_tol:g} sum_rel_tol={opts.sum_rel_tol:g} "
-        f"sum_consecutive={opts.sum_consecutive} m_max={opts.m_max}",
+        f"sum_consecutive={SUM_CONSECUTIVE} m_max={opts.m_max}",
         f"# constants: hbar={HBAR:.9e} J*s c={SPEED_OF_LIGHT:.9e} m/s k_B={BOLTZMANN:.6e} J/K",
         "# pressure columns hold |F| in Pa; the force is attractive",
     ]
@@ -279,12 +281,8 @@ def diff_results_to_csv(
     return "\n".join(lines) + "\n"
 
 
-# the six preset pairs ranked: pure Al, mixed Al, noble-noble
-_GROUPS = (
-    ("I", (("Al", "Al"),)),
-    ("II", (("Al", "Au"), ("Al", "Cu"))),
-    ("III", (("Au", "Au"), ("Au", "Cu"), ("Cu", "Cu"))),
-)
+#: the six preset pairs, in the order ``sweep --pairs all`` lists them
+PRESET_PAIRS = (("Au", "Au"), ("Au", "Cu"), ("Cu", "Cu"), ("Al", "Al"), ("Al", "Au"), ("Al", "Cu"))
 
 
 def group_ordering(
@@ -305,18 +303,19 @@ def group_ordering(
     requested = None
     if pairs is not None:
         requested = {tuple(sorted((p[0].lower(), p[1].lower()))) for p in pairs}
-        known = {
-            tuple(sorted((x.lower(), y.lower()))) for _, members in _GROUPS for x, y in members
-        }
+        known = {tuple(sorted((x.lower(), y.lower()))) for x, y in PRESET_PAIRS}
         unknown = requested - known
         if unknown:
             raise ValueError(f"unsupported pairs for grouping: {sorted(unknown)}")
 
     out = []
-    for label, members in _GROUPS:
+    # a pair's group is set by its number of Al plates
+    for label, n_al in (("I", 2), ("II", 1), ("III", 0)):
         names = []
         pressures = []
-        for n1, n2 in members:
+        for n1, n2 in PRESET_PAIRS:
+            if (n1, n2).count("Al") != n_al:
+                continue
             if requested is not None and tuple(sorted((n1.lower(), n2.lower()))) not in requested:
                 continue
             system = PlateSystem(material_preset(n1), material_preset(n2), gap=a)

@@ -115,6 +115,11 @@ class TestPressure:
         assert code == 2
         assert "ceiling" in capsys.readouterr().err
 
+    def test_large_gap_default_ceiling(self, capsys):
+        """At 20 um and 300 K the default ceiling leaves room for the truncation rule."""
+        assert run(["pressure", "--pair", "Au,Au", "--gap", "20um", "--temp", "300"]) == 0
+        assert "matsubara terms: 3" in capsys.readouterr().out
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "cell.csv"
         code = run(

@@ -161,8 +161,13 @@ class TestTabulated:
             tabulated_eps(1e11, table)
         with pytest.raises(TableRangeError, match="above the table maximum"):
             tabulated_eps(1e19, table)
-        with pytest.raises(TableRangeError):
+        with pytest.raises(TableRangeError, match="zeta = 1e\\+19 rad/s") as err:
             tabulated_eps(np.array([1e13, 1e19]), table)
+        assert err.value.index == 1
+        # the first out-of-range query is named, whichever bound it violates
+        with pytest.raises(TableRangeError, match="zeta = 1e\\+20 rad/s is above") as err:
+            tabulated_eps(np.array([1e13, 1e20, 1e11, 1e19]), table)
+        assert err.value.index == 1
 
     def test_fallback_covers_out_of_range_queries(self):
         fb = DrudeParams(AU_OMEGA_P, AU_NU)
@@ -263,10 +268,12 @@ class TestLoader:
 
 class TestMaterial:
     def test_metallic_flags(self):
-        assert material_preset("au").metallic
-        assert Material("pl", PlasmaParams(AU_OMEGA_P)).metallic
-        assert not make_table_material().metallic
-        assert make_table_material(fallback=DrudeParams(AU_OMEGA_P, AU_NU)).metallic
+        """Each model's zero-frequency answer (r_TM, omega_TE)."""
+        assert material_preset("au").zero_frequency() == (1.0, 0.0)
+        assert Material("pl", PlasmaParams(AU_OMEGA_P)).zero_frequency() == (1.0, AU_OMEGA_P)
+        r_tm, omega_te = make_table_material().zero_frequency()
+        assert r_tm < 1.0 and omega_te == 0.0
+        assert make_table_material(fallback=DrudeParams(AU_OMEGA_P, AU_NU)).zero_frequency() == (1.0, 0.0)
 
     def test_eps_dispatch_matches_model_functions(self):
         drude = material_preset("au")
@@ -277,12 +284,10 @@ class TestMaterial:
         assert tab.eps(1e13) == tabulated_eps(1e13, tab.model)
 
     def test_static_reflection(self):
-        assert material_preset("au").static_reflection() == 1.0
+        assert material_preset("au").zero_frequency()[0] == 1.0
         tab = make_table_material(zeta=(1e12, 1e14), eps=(3.0, 2.0))
-        assert tab.static_reflection() == pytest.approx(0.5, rel=1e-14)
-        # explicit floor overrides the lowest knot
-        at_top = tab.static_reflection(zeta_floor=1e14)
-        assert at_top == pytest.approx((2.0 - 1.0) / (2.0 + 1.0), rel=1e-14)
+        # (e - 1)/(e + 1) with e = 3 at the lowest knot
+        assert tab.zero_frequency()[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_rising_table_eps_rejected(self):
         with pytest.raises(TableError, match="row 2"):

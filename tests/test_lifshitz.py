@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import lifshitz
-from casimir_plates.constants import BOLTZMANN
-from casimir_plates.dispersion import Material
+from casimir_plates.constants import BOLTZMANN, SPEED_OF_LIGHT
+from casimir_plates.dispersion import Material, PlasmaParams
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
     ConvergenceError,
@@ -25,6 +25,7 @@ from casimir_plates.lifshitz import (
     zero_frequency_term,
 )
 from casimir_plates.quadrature import QuadratureError, adaptive_pair_quadrature
+from casimir_plates.special import ZETA3
 from conftest import make_table_material
 
 # frozen reference values, all from 25 to 40 digit arbitrary-precision evaluations
@@ -56,11 +57,12 @@ def kernel(y, mg, eps1, eps3):
     return _mode_parts(y, mg, np.float64(eps1) - 1.0, np.float64(eps3) - 1.0)
 
 
-def oracle_parts(mg, d, tol=1e-13):
+def oracle_parts(mg, d, tol=1e-13, offsets=(0.0, 10.0, 50.0)):
     """(TM, TE) of one identical-plate term by the scalar adaptive engine.
 
-    The integrand is written out here with Python floats and shares
-    nothing with the production kernel except its algebra.
+    The integral runs over y in [mg + offsets[0], mg + offsets[-1]], with a
+    break at each offset.  The integrand is written out here with Python
+    floats and shares nothing with the production kernel except its algebra.
     """
 
     def f(y):
@@ -71,7 +73,7 @@ def oracle_parts(mg, d, tol=1e-13):
         x = math.exp(-2.0 * y)
         return y * y * tm * x / (1.0 - tm * x), y * y * te * x / (1.0 - te * x)
 
-    return adaptive_pair_quadrature(f, [mg, mg + 10.0, mg + 50.0], tol)
+    return adaptive_pair_quadrature(f, [mg + o for o in offsets], tol)
 
 
 class TestThermalState:
@@ -250,11 +252,13 @@ class TestMatsubaraTerm:
         assert term == pytest.approx(oracle, rel=1e-8)
 
     def test_insensitive_to_a_longer_tail(self, au):
+        """Extending the span from 50 to 100 adds less than 1e-15 of a term."""
         system = PlateSystem(au, au, gap=1e-6)
         th = ThermalState(300.0)
-        base = matsubara_term(2, system, th, tol=1e-12, y_span=50.0)
-        long = matsubara_term(2, system, th, tol=1e-12, y_span=100.0)
-        assert abs(long - base) <= 1e-15 * abs(base)
+        base = matsubara_term(2, system, th, tol=1e-12)
+        d = float(au.eps(th.zeta(2))) - 1.0
+        tail = sum(oracle_parts(2 * th.gamma(1e-6), d, tol=1e-12, offsets=(50.0, 100.0)))
+        assert 0.0 <= tail <= 1e-15 * abs(base)
 
     def test_terms_decay_with_index(self, au):
         system = PlateSystem(au, au, gap=1e-6)
@@ -297,13 +301,39 @@ class TestZeroFrequencyTerm:
         term = zero_frequency_term(PlateSystem(au, tab, gap=1e-6))
         assert term == pytest.approx(I0_DELTA_HALF, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "W,expected", [(1.0, 0.0064416395), (45.6, 0.1321070652), (1000.0, 0.1493591650)]
+    )
+    def test_plasma_te_mode_matches_scipy(self, W, expected):
+        """Two plasma plates add -1/2 of the integral of y**2 r e^-2y/(1 - r e^-2y)
+        over y >= 0 with r = ((s - y)/(s + y))**2, s = sqrt(y**2 + W**2),
+        W = omega_p a / c."""
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def f(y):
+            s = math.sqrt(y * y + W * W)
+            x = ((s - y) / (s + y)) ** 2 * math.exp(-2.0 * y)
+            return y * y * x / (1.0 - x)
+
+        oracle = 0.5 * quad(f, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        plasma = Material("pl", PlasmaParams(W * SPEED_OF_LIGHT / 1e-6))
+        te = -zero_frequency_term(PlateSystem(plasma, plasma, gap=1e-6)) - ZETA3 / 8.0
+        assert te == pytest.approx(oracle, abs=1e-10)
+        assert te == pytest.approx(expected, abs=1e-10)
+
+    def test_te_mode_needs_two_plasma_plates(self, au):
+        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        drude = zero_frequency_term(PlateSystem(au, au, gap=1e-6))
+        assert zero_frequency_term(PlateSystem(plasma, au, gap=1e-6)) == drude
+        r = casimir_pressure(PlateSystem(au, plasma, gap=1e-6), ThermalState(300.0))
+        assert r.te_terms[0] == 0.0 and not np.signbit(r.te_terms[0])
+
 
 class TestSolverOptions:
     def test_defaults(self):
         assert DEFAULT_OPTIONS == SolverOptions()
         assert DEFAULT_OPTIONS.quad_tol == 1e-10
         assert DEFAULT_OPTIONS.sum_rel_tol == 1e-9
-        assert DEFAULT_OPTIONS.sum_consecutive == 3
         assert DEFAULT_OPTIONS.m_max is None
 
     @pytest.mark.parametrize(
@@ -313,7 +343,7 @@ class TestSolverOptions:
             {"quad_tol": 2.0},
             {"sum_rel_tol": 0.0},
             {"sum_rel_tol": 1.0},
-            {"sum_consecutive": 0},
+            {"sum_rel_tol": math.nan},
             {"m_max": 0},
         ],
     )
@@ -334,9 +364,8 @@ class TestCasimirPressure:
         assert r.pressure < 0.0
         assert r.abs_pressure == -r.pressure
         n = r.m_used + 1
-        assert r.m_terms.shape == r.tm_terms.shape == r.te_terms.shape == (n,)
-        assert list(r.m_terms[:3]) == [0, 1, 2]
-        assert r.te_terms[0] == 0.0
+        assert r.tm_terms.shape == r.te_terms.shape == (n,)
+        assert r.te_terms[0] == 0.0 and not np.signbit(r.te_terms[0])
         total = float(np.sum(r.tm_terms) + np.sum(r.te_terms))
         assert r.abs_pressure == pytest.approx(total, rel=1e-12)
         assert r.tm_share + r.te_share == pytest.approx(1.0, abs=1e-15)
@@ -413,6 +442,51 @@ class TestCasimirPressure:
             )
         assert err.value.m_ceiling == 5
         assert err.value.last_relative > 1e-9
+
+    @pytest.mark.parametrize("gap", [20e-6, 100e-6])
+    def test_large_gap_reaches_the_classical_limit(self, au, gap):
+        """At large a*T only m = 0 is left: -zeta(3) k T/(8 pi a**3) for Drude.
+        The default ceiling must leave room for the truncation rule there."""
+        T = 300.0
+        r = casimir_pressure(PlateSystem(au, au, gap=gap), ThermalState(T))
+        classical = -ZETA3 * BOLTZMANN * T / (8.0 * math.pi * gap**3)
+        assert r.pressure == pytest.approx(classical, rel=1e-6)
+        assert r.m_used <= r.info.m_ceiling
+
+    def test_plasma_large_gap_doubles_the_classical_limit(self, au):
+        """Plasma plates reflect TE at m = 0 too: -zeta(3) k T/(4 pi a**3)."""
+        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        gap, T = 100e-6, 300.0
+        r = casimir_pressure(PlateSystem(plasma, plasma, gap=gap), ThermalState(T))
+        classical = -ZETA3 * BOLTZMANN * T / (4.0 * math.pi * gap**3)
+        assert r.pressure == pytest.approx(classical, rel=1e-3)
+
+    def test_plasma_thermal_change_is_small(self, au):
+        """With its m = 0 TE mode the plasma model barely changes between 1 K
+        and 300 K at 1 um (the Drude model loses about 14%)."""
+        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        system = PlateSystem(plasma, plasma, gap=1e-6)
+        cold = casimir_pressure(system, ThermalState(1.0)).abs_pressure
+        room = casimir_pressure(system, ThermalState(300.0))
+        assert abs(room.abs_pressure / cold - 1.0) < 0.01
+        assert room.te_terms[0] > 0.0
+
+    def test_plasma_plate_swap_is_bit_identical(self, au, cu):
+        p_au = Material("pl Au", PlasmaParams(au.model.omega_p))
+        p_cu = Material("pl Cu", PlasmaParams(cu.model.omega_p))
+        fwd = casimir_pressure(PlateSystem(p_au, p_cu, gap=5e-7), ThermalState(300.0))
+        rev = casimir_pressure(PlateSystem(p_cu, p_au, gap=5e-7), ThermalState(300.0))
+        assert fwd.pressure == rev.pressure
+        assert np.array_equal(fwd.te_terms, rev.te_terms)
+
+    def test_failure_mid_batch_names_the_index(self, au):
+        """A table ending at 10.5 zeta_1 fails at m = 11 of the first batch,
+        whichever plate it is."""
+        th = ThermalState(300.0)
+        short = make_table_material(zeta=(0.5 * th.zeta(1), 10.5 * th.zeta(1)), eps=(1e5, 1e3))
+        for system in (PlateSystem(short, au, gap=1e-7), PlateSystem(au, short, gap=1e-7)):
+            with pytest.raises(ValueError, match=r"m=11, zeta=.*above the table maximum"):
+                casimir_pressure(system, th)
 
     def test_failure_in_late_chunk_names_the_index(self, au):
         # covers frequencies up to zeta_2 but not zeta_3
