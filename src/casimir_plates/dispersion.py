@@ -86,10 +86,11 @@ class PlasmaParams:
 class PermittivityTable:
     """Sampled eps(i zeta) with log-log linear interpolation between knots.
 
-    zeta values must be strictly increasing, every eps must exceed 1, and
-    at least two samples are required.  An optional Drude ``fallback``
-    extends evaluation outside [zeta_min, zeta_max]; without one an
-    out-of-range query raises :class:`TableRangeError`.
+    zeta values must be strictly increasing, every eps must exceed 1 and
+    must not increase with zeta, and at least two samples are required.  An
+    optional Drude ``fallback`` extends evaluation outside [zeta_min,
+    zeta_max]; without one an out-of-range query raises
+    :class:`TableRangeError`.
     """
 
     zeta: np.ndarray
@@ -118,6 +119,12 @@ class PermittivityTable:
         if np.any(~np.isfinite(e)) or np.any(e <= 1.0):
             row = int(np.nonzero(~np.isfinite(e) | (e <= 1.0))[0][0]) + 1
             raise TableError(f"eps must be finite and > 1; row {row} has {e[row - 1]:g}")
+        # eps must not increase with zeta; log-linear interpolation
+        # preserves monotonicity between knots, so knots suffice.
+        bad = np.nonzero(np.diff(e) > 0.0)[0]
+        if bad.size:
+            row = int(bad[0]) + 2
+            raise TableError(f"table eps must be non-increasing in zeta; eps rises at row {row}")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "eps", e)
         object.__setattr__(self, "_log_zeta", np.log(z))
@@ -187,17 +194,7 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ValueError("material name must be non-empty")
-        if isinstance(self.model, PermittivityTable):
-            # eps must not increase with zeta; log-linear interpolation
-            # preserves monotonicity between knots, so knots suffice.
-            e = self.model.eps
-            bad = np.nonzero(np.diff(e) > 0.0)[0]
-            if bad.size:
-                row = int(bad[0]) + 2
-                raise TableError(
-                    f"table eps must be non-increasing in zeta; eps rises at row {row}"
-                )
-        elif not isinstance(self.model, (DrudeParams, PlasmaParams)):
+        if not isinstance(self.model, (DrudeParams, PlasmaParams, PermittivityTable)):
             raise TypeError(f"unsupported model type {type(self.model).__name__}")
 
     def eps(self, zeta):
@@ -261,13 +258,13 @@ def load_permittivity_table(source, fallback: DrudeParams | None = None) -> Perm
     ``source`` may be a filesystem path, raw bytes, or a binary file
     object.  The format is UTF-8 text (LF or CRLF), ``#`` comment lines,
     a literal ``zeta_rad_per_s,eps`` header, then one ``zeta,eps`` row per
-    sample with zeta strictly increasing and eps > 1.
+    sample with zeta strictly increasing and eps > 1, non-increasing.
 
     Raises
     ------
     TableError
         On malformed rows (with the 1-based line number), a missing or
-        wrong header, non-monotone zeta, or eps <= 1.
+        wrong header, non-monotone zeta, eps <= 1 or eps rising with zeta.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:

@@ -201,7 +201,8 @@ def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
 
     Equal materials are evaluated once and return the same array twice,
     which selects the kernel's one-factor path.  A failure is re-raised
-    naming the plate, and the m and zeta_m of the first query that failed.
+    with its type and attributes, its message prefixed with the plate and
+    the m and zeta_m of the first query that failed.
     """
 
     def plate(material: Material, label: str) -> np.ndarray:
@@ -209,10 +210,11 @@ def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
             return np.asarray(material.eps(zeta), dtype=float) - 1.0
         except ValueError as exc:
             i = getattr(exc, "index", 0)
-            raise type(exc)(
+            exc.args = (
                 f"material {material.name!r} ({label}) failed at m={m[i]}, "
-                f"zeta={zeta[i]:g} rad/s: {exc}"
-            ) from exc
+                f"zeta={zeta[i]:g} rad/s: {exc}",
+            )
+            raise
 
     d1 = plate(system.mat1, "mat1")
     return (d1, d1) if system.mat3 == system.mat1 else (d1, plate(system.mat3, "mat3"))
@@ -416,8 +418,7 @@ def casimir_pressure(
     if not converged:
         raise ConvergenceError(
             f"Matsubara sum reached its ceiling m = {m_ceiling} without meeting the "
-            f"truncation rule (last term contributed {last_relative:.3e} of the sum); "
-            f"raise m_max or loosen sum_rel_tol",
+            f"truncation rule (last term contributed {last_relative:.3e} of the sum); raise m_max",
             m_ceiling=m_ceiling,
             last_relative=last_relative,
         )

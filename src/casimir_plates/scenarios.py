@@ -1,16 +1,18 @@
 """Derived observables and parameter sweeps over (pair, temperature, gap).
 
-Temperature-difference observables quantify how much thermal occupation of
-the Matsubara modes weakens the attraction; sweeps evaluate grids of cells
-and render them as CSV (SI units throughout) with ``#`` metadata lines
-recording the solver settings and constants, so a result file is
-self-describing.
+Sweeps evaluate grids of cells and render them as self-describing CSV (SI
+units, ``#`` lines recording the solver settings and constants).  Every
+other observable is a view of one sweep's rows: the temperature differences
+(how much thermal occupation of the Matsubara modes weakens the attraction)
+and the grouping of the preset pairs.  Only ``_evaluate_cell`` calls the
+solver, so all of them fail the same way, naming the cell.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +24,6 @@ from .lifshitz import (
     DEFAULT_OPTIONS,
     SUM_CONSECUTIVE,
     PlateSystem,
-    PressureResult,
     SolverOptions,
     ThermalState,
     casimir_pressure,
@@ -83,10 +84,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("need at least one material pair")
-        if not self.temperatures or any(t <= 0.0 for t in self.temperatures):
-            raise ValueError("temperatures must be non-empty and all > 0")
-        if not self.gaps or any(a <= 0.0 for a in self.gaps):
-            raise ValueError("gaps must be non-empty and all > 0")
+        for name, values in (("temperatures", self.temperatures), ("gaps", self.gaps)):
+            # 0 < x < inf is False for NaN as well
+            if not values or not all(0.0 < x < math.inf for x in values):
+                raise ValueError(f"{name} must be non-empty, finite and all > 0")
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         object.__setattr__(self, "temperatures", tuple(sorted(float(t) for t in self.temperatures)))
         object.__setattr__(self, "gaps", tuple(sorted(float(a) for a in self.gaps)))
@@ -145,32 +146,9 @@ def temperature_difference(
     T_high: float,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> DiffResult:
-    """Compare |F| at two temperatures with identical solver settings.
-
-    The two temperatures must differ; calling with them swapped negates
-    ``delta`` exactly (the same two pressures are computed either way).
-
-    Raises
-    ------
-    ValueError
-        If either temperature is <= 0 or they are equal.
-    """
-    if T_low <= 0.0 or T_high <= 0.0:
-        raise ValueError(f"temperatures must be > 0, got {T_low!r}, {T_high!r}")
-    if T_low == T_high:
-        raise ValueError(f"temperatures must differ, both are {T_low!r}")
-    f_low = abs(casimir_pressure(system, ThermalState(T_low), opts).pressure)
-    f_high = abs(casimir_pressure(system, ThermalState(T_high), opts).pressure)
-    delta = f_low - f_high
-    return DiffResult(
-        a=system.gap,
-        T_low=T_low,
-        T_high=T_high,
-        f_low_T=f_low,
-        f_high_T=f_high,
-        delta=delta,
-        relative=delta / f_low,
-    )
+    """Compare |F| of ``system`` at two temperatures with identical solver
+    settings: :func:`relative_correction_curve` at its one gap."""
+    return relative_correction_curve(system.mat1, system.mat3, [system.gap], T_low, T_high, opts)[0]
 
 
 def relative_correction_curve(
@@ -181,19 +159,34 @@ def relative_correction_curve(
     T_high: float,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> list[DiffResult]:
-    """:func:`temperature_difference` across a gap grid (ascending order)."""
-    return [
-        temperature_difference(PlateSystem(mat1, mat3, gap=float(a)), T_low, T_high, opts)
-        for a in sorted(float(a) for a in gaps)
-    ]
+    """|F| at two temperatures across a gap grid (ascending order), from one
+    :func:`sweep` of the pair over both temperatures.
+
+    The two temperatures must differ; calling with them swapped negates
+    ``delta`` exactly (the same two pressures are computed either way).
+    A temperature or gap that is not finite and > 0 raises ValueError; a
+    failing cell raises the sweep's RuntimeError.
+    """
+    if T_low == T_high:
+        raise ValueError(f"temperatures must differ, both are {T_low!r}")
+    gaps = tuple(gaps)
+    if not gaps:
+        return []
+    rows = sweep(SweepSpec(((mat1, mat3),), (T_low, T_high), gaps), opts)
+    # rows come back with T ascending: the first half is the lower temperature
+    n = len(gaps)
+    low, high = (rows[:n], rows[n:]) if T_low < T_high else (rows[n:], rows[:n])
+    out = []
+    for lo, hi in zip(low, high):
+        delta = lo.pressure - hi.pressure
+        out.append(DiffResult(lo.gap, T_low, T_high, lo.pressure, hi.pressure, delta, delta / lo.pressure))
+    return out
 
 
 def _evaluate_cell(args) -> SweepRow:
     mat1, mat3, a, T, opts = args
     try:
-        result: PressureResult = casimir_pressure(
-            PlateSystem(mat1, mat3, gap=a), ThermalState(T), opts
-        )
+        result = casimir_pressure(PlateSystem(mat1, mat3, gap=a), ThermalState(T), opts)
     except Exception as exc:
         raise RuntimeError(
             f"cell failed: pair={_pair_label(mat1, mat3)}, a={a:g} m, T={T:g} K: {exc}"
@@ -300,35 +293,26 @@ def group_ordering(
     (a single pair degenerates to one group of one).  Only preset material
     names are supported.
     """
-    requested = None
+    chosen = PRESET_PAIRS
     if pairs is not None:
-        requested = {tuple(sorted((p[0].lower(), p[1].lower()))) for p in pairs}
-        known = {tuple(sorted((x.lower(), y.lower()))) for x, y in PRESET_PAIRS}
-        unknown = requested - known
+        def key(p):
+            return tuple(sorted((p[0].lower(), p[1].lower())))
+
+        requested = {key(p) for p in pairs}
+        unknown = requested - {key(p) for p in PRESET_PAIRS}
         if unknown:
             raise ValueError(f"unsupported pairs for grouping: {sorted(unknown)}")
+        chosen = [p for p in PRESET_PAIRS if key(p) in requested]
+    if not chosen:
+        return []
+    spec = SweepSpec(tuple((material_preset(n1), material_preset(n2)) for n1, n2 in chosen), (T,), (a,))
+    rows = sweep(spec, opts)
 
     out = []
     # a pair's group is set by its number of Al plates
     for label, n_al in (("I", 2), ("II", 1), ("III", 0)):
-        names = []
-        pressures = []
-        for n1, n2 in PRESET_PAIRS:
-            if (n1, n2).count("Al") != n_al:
-                continue
-            if requested is not None and tuple(sorted((n1.lower(), n2.lower()))) not in requested:
-                continue
-            system = PlateSystem(material_preset(n1), material_preset(n2), gap=a)
-            result = casimir_pressure(system, ThermalState(T), opts)
-            names.append(f"{n1}-{n2}")
-            pressures.append(result.abs_pressure)
-        if names:
-            out.append(
-                PairGroup(
-                    label=label,
-                    pairs=tuple(names),
-                    pressures=tuple(pressures),
-                    mean_pressure=float(np.mean(pressures)),
-                )
-            )
+        group = [r for r in rows if (r.material_1, r.material_2).count("Al") == n_al]
+        if group:
+            pressures = tuple(r.pressure for r in group)
+            out.append(PairGroup(label, tuple(r.pair for r in group), pressures, float(np.mean(pressures))))
     return out

@@ -96,6 +96,9 @@ class TestPressure:
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "nan"],
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "inf"],
             ["pressure", "--pair", "My,My", "--drude", "My:1e400eV:35meV", "--gap", "200nm", "--temp", "300"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", ",", "--temps", "300"],
+            ["diff", "--pair", "Au,Au", "--gaps", ",", "--temps", "300,350"],
+            ["sweep", "--pairs", ";", "--gaps", "200nm", "--temps", "300"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -113,7 +116,9 @@ class TestPressure:
             ["pressure", "--pair", "Au,Au", "--gap", "1um", "--temp", "300", "--m-max", "3"]
         )
         assert code == 2
-        assert "ceiling" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ceiling" in err
+        assert "sum_rel_tol" not in err  # the CLI has no flag for it
 
     def test_large_gap_default_ceiling(self, capsys):
         """At 20 um and 300 K the default ceiling leaves room for the truncation rule."""
@@ -189,6 +194,16 @@ class TestDiff:
     def test_needs_two_distinct_temperatures(self, temps, capsys):
         assert run(["diff", "--pair", "Au,Au", "--gaps", "500nm", "--temps", temps]) == 1
         assert "two distinct temperatures" in capsys.readouterr().err
+
+    def test_failing_cell_is_named_as_sweep_names_it(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_bytes(b"zeta_rad_per_s,eps\n1e12,1e6\n1e13,1e3\n")  # ends below zeta_1
+        common = ["--gaps", "200nm,500nm", "--temps", "300,350", "--table", f"T={table}"]
+        assert run(["diff", "--pair", "T,Au"] + common) == 2
+        diff_err = capsys.readouterr().err
+        assert "cell failed: pair=T-Au, a=2e-07 m, T=300 K: material 'T' (mat1) failed at m=1" in diff_err
+        assert run(["sweep", "--pairs", "T,Au"] + common) == 2
+        assert capsys.readouterr().err == diff_err
 
     def test_text_table(self, capsys):
         code = run(["diff", "--pair", "Au,Au", "--gaps", "500nm", "--temps", "300,350"])

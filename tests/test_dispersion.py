@@ -292,6 +292,11 @@ class TestMaterial:
     def test_rising_table_eps_rejected(self):
         with pytest.raises(TableError, match="row 2"):
             make_table_material(zeta=(1e12, 1e14), eps=(2.0, 3.0))
+        # the table itself, however it is built, rejects the same data
+        with pytest.raises(TableError, match="non-increasing.*row 2"):
+            PermittivityTable(zeta=np.array([1e12, 1e14]), eps=np.array([2.0, 3.0]))
+        with pytest.raises(TableError, match="non-increasing.*row 3"):
+            load_permittivity_table(b"zeta_rad_per_s,eps\n1e12,1e6\n1e13,1e4\n1e14,2e4\n")
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -485,8 +485,9 @@ class TestCasimirPressure:
         th = ThermalState(300.0)
         short = make_table_material(zeta=(0.5 * th.zeta(1), 10.5 * th.zeta(1)), eps=(1e5, 1e3))
         for system in (PlateSystem(short, au, gap=1e-7), PlateSystem(au, short, gap=1e-7)):
-            with pytest.raises(ValueError, match=r"m=11, zeta=.*above the table maximum"):
+            with pytest.raises(ValueError, match=r"m=11, zeta=.*above the table maximum") as info:
                 casimir_pressure(system, th)
+            assert info.value.index == 10
 
     def test_failure_in_late_chunk_names_the_index(self, au):
         # covers frequencies up to zeta_2 but not zeta_3

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_plates.dispersion import TableRangeError
 from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure
 from casimir_plates.scenarios import (
     DIFF_CSV_HEADER,
@@ -76,6 +77,11 @@ class TestSweepSpec:
             SweepSpec(pairs=((au, au),), temperatures=(300.0, -1.0), gaps=(1e-6,))
         with pytest.raises(ValueError):
             SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(0.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(pairs=((au, au),), temperatures=(bad,), gaps=(1e-6,))
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(bad,))
 
 
 class TestTemperatureDifference:
@@ -120,6 +126,7 @@ class TestRelativeCorrectionCurve:
         assert all(0.0 < r < 0.2 for r in rels)
         # the relative 300/350 correction grows toward its micron-scale maximum
         assert rels[0] < rels[1] < rels[2]
+        assert relative_correction_curve(au, au, [], 300.0, 350.0) == []
 
 
 class TestSweep:
@@ -199,6 +206,10 @@ class TestSweep:
         spec = SweepSpec(pairs=((bad, au),), temperatures=(300.0,), gaps=(1e-6,))
         with pytest.raises(RuntimeError, match=r"cell failed: pair=tab-Au.*1e-06.*300"):
             sweep(spec)
+        # the temperature-difference observables fail through the same sweep
+        with pytest.raises(RuntimeError, match=r"cell failed: pair=tab-Au.*1e-06.*300") as info:
+            temperature_difference(PlateSystem(bad, au, gap=1e-6), 350.0, 300.0)
+        assert isinstance(info.value.__cause__, TableRangeError)
 
     def test_aluminium_attracts_strongest(self, au, cu, al):
         pairs = ((al, al), (al, au), (al, cu), (au, au), (au, cu), (cu, cu))
@@ -233,6 +244,7 @@ class TestGroupOrdering:
         assert len(groups) == 1
         assert groups[0].label == "III"
         assert groups[0].pairs == ("Au-Au",)
+        assert group_ordering(2e-7, 300.0, pairs=[]) == []
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError, match="unsupported pairs"):
