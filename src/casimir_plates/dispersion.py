@@ -48,7 +48,7 @@ class TableRangeError(ValueError):
 
 def _require_positive_zeta(zeta) -> np.ndarray:
     z = np.asarray(zeta, dtype=float)
-    if np.any(~np.isfinite(z)) or np.any(z <= 0.0):
+    if z.size and not (z.min() > 0.0 and z.max() < np.inf):  # NaN fails both; empty passes
         raise ValueError("imaginary frequency zeta must be finite and > 0")
     return z
 

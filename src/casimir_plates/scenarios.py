@@ -68,6 +68,11 @@ def gap_grid(start: float, stop: float, spacing: str, count: int) -> np.ndarray:
     raise ValueError(f"spacing must be 'lin' or 'log', got {spacing!r}")
 
 
+def _require_positive(name: str, values) -> None:
+    if not values or not all(0.0 < x < math.inf for x in values):  # False for NaN too
+        raise ValueError(f"{name} must be non-empty, finite and all > 0")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep grid: material pairs x temperatures x gaps.
@@ -84,10 +89,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("need at least one material pair")
-        for name, values in (("temperatures", self.temperatures), ("gaps", self.gaps)):
-            # 0 < x < inf is False for NaN as well
-            if not values or not all(0.0 < x < math.inf for x in values):
-                raise ValueError(f"{name} must be non-empty, finite and all > 0")
+        _require_positive("temperatures", self.temperatures)
+        _require_positive("gaps", self.gaps)
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         object.__setattr__(self, "temperatures", tuple(sorted(float(t) for t in self.temperatures)))
         object.__setattr__(self, "gaps", tuple(sorted(float(a) for a in self.gaps)))
@@ -169,6 +172,7 @@ def relative_correction_curve(
     """
     if T_low == T_high:
         raise ValueError(f"temperatures must differ, both are {T_low!r}")
+    _require_positive("temperatures", (T_low, T_high))
     gaps = tuple(gaps)
     if not gaps:
         return []
@@ -183,14 +187,12 @@ def relative_correction_curve(
     return out
 
 
-def _evaluate_cell(args) -> SweepRow:
+def _evaluate_cell(args) -> SweepRow | Exception:
     mat1, mat3, a, T, opts = args
     try:
         result = casimir_pressure(PlateSystem(mat1, mat3, gap=a), ThermalState(T), opts)
     except Exception as exc:
-        raise RuntimeError(
-            f"cell failed: pair={_pair_label(mat1, mat3)}, a={a:g} m, T={T:g} K: {exc}"
-        ) from exc
+        return exc  # a worker process hands back a returned exception intact, a raised one not
     return SweepRow(
         pair=_pair_label(mat1, mat3),
         material_1=mat1.name,
@@ -202,6 +204,14 @@ def _evaluate_cell(args) -> SweepRow:
         te_share=result.te_share,
         m_used=result.m_used,
     )
+
+
+def _cell_row(cell, outcome: SweepRow | Exception) -> SweepRow:
+    """The row of ``cell``, or a RuntimeError naming it, raised from the solver's exception."""
+    if isinstance(outcome, Exception):
+        pair, a, T = _pair_label(*cell[:2]), cell[2], cell[3]
+        raise RuntimeError(f"cell failed: pair={pair}, a={a:g} m, T={T:g} K: {outcome}") from outcome
+    return outcome
 
 
 def _worker_count(jobs: int, cpus: int | None, n_cells: int) -> int:
@@ -217,8 +227,8 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
     evaluated in worker processes but assembled in order, so the output is
     identical to a sequential run.  The pool never has more workers than
     CPUs or cells; when that leaves one, the sweep runs in this process.
-    The first failing cell aborts the whole sweep, naming the offending
-    (pair, a, T).
+    The first failing cell aborts the whole sweep with a RuntimeError naming
+    (pair, a, T), raised from the solver's own exception at any ``jobs``.
     """
     cells = [
         (mat1, mat3, a, T, opts)
@@ -226,9 +236,10 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
     ]
     workers = _worker_count(jobs, os.cpu_count(), len(cells))
     if workers == 1:
-        return [_evaluate_cell(c) for c in cells]
+        return [_cell_row(c, _evaluate_cell(c)) for c in cells]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
+        outcomes = pool.map(_evaluate_cell, cells, chunksize=max(1, len(cells) // (4 * workers)))
+        return [_cell_row(c, out) for c, out in zip(cells, outcomes)]
 
 
 def _metadata_lines(opts: SolverOptions) -> list[str]:

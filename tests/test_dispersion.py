@@ -79,8 +79,11 @@ class TestDrude:
         assert isinstance(out, np.ndarray)
         for z, v in zip(grid, out):
             assert drude_eps(float(z), params) == v
+        assert drude_eps(np.array([]), params).size == 0
 
-    @pytest.mark.parametrize("zeta", [0.0, -1e12, math.nan])
+    @pytest.mark.parametrize(
+        "zeta", [0.0, -1e12, math.nan, math.inf, np.array([1e12, 1e13, -1e12, 1e14, 1e15])]
+    )
     def test_rejects_nonpositive_zeta(self, zeta):
         with pytest.raises(ValueError):
             drude_eps(zeta, DrudeParams(AU_OMEGA_P, AU_NU))

@@ -1,6 +1,7 @@
 """Reflection products, the integrand kernel, Matsubara terms, and the pressure sum."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -443,6 +444,13 @@ class TestCasimirPressure:
         assert err.value.m_ceiling == 5
         assert err.value.last_relative > 1e-9
 
+    def test_convergence_error_survives_pickling(self):
+        """A sweep's worker process hands the error back by pickling it."""
+        err = ConvergenceError("sum reached its ceiling", m_ceiling=7, last_relative=2.5e-6)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ConvergenceError
+        assert (str(back), back.m_ceiling, back.last_relative) == (str(err), 7, 2.5e-6)
+
     @pytest.mark.parametrize("gap", [20e-6, 100e-6])
     def test_large_gap_reaches_the_classical_limit(self, au, gap):
         """At large a*T only m = 0 is left: -zeta(3) k T/(8 pi a**3) for Drude.
@@ -512,9 +520,13 @@ def refined(monkeypatch):
 
 
 def _low_t_batch(au):
-    """mg and eps - 1 of the first 64 terms of Au-Au at 1 um and 1 K."""
+    """mg and eps - 1 of terms m = 1..32 and 240..271 of Au-Au at 1 um and 1 K.
+
+    The batch mixes terms that refine (the smallest m) with terms that meet
+    the tolerance on their first panels.
+    """
     th = ThermalState(1.0)
-    ms = np.arange(1, 65)
+    ms = np.concatenate([np.arange(1, 33), np.arange(240, 272)])
     return ms * th.gamma(1e-6), au.eps(th.zeta(ms)) - 1.0
 
 
@@ -535,7 +547,7 @@ class TestBatchedKernel:
 
     def test_missed_estimate_returns_the_adaptive_bits(self, au, refined):
         """A refined term gets the bits of the scalar adaptive loop run on
-        the production kernel from the batch's own 12 panels."""
+        the production kernel from the batch's own first-pass panels."""
         mg, d = _low_t_batch(au)
         tol = 1e-10
         tm, te = _batch_parts(mg, d, d, tol)
@@ -590,6 +602,20 @@ class TestBatchedKernel:
     def test_most_terms_take_the_batched_path(self, au, refined):
         r = casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(1.0))
         assert len(refined) <= 0.1 * r.m_used
+
+    def test_kernel_points_per_term(self, au, monkeypatch):
+        """Most terms meet the tolerance on their first 90 points, and the
+        rest refine: under 100 kernel points per summed term at 100 nm / 1 K."""
+        points = [0]
+        kernel_parts = lifshitz._mode_parts
+
+        def counting(y, mg, d1, d3):
+            points[0] += y.size
+            return kernel_parts(y, mg, d1, d3)
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", counting)
+        r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
+        assert points[0] < 100 * r.m_used
 
     def test_matches_single_term_evaluation(self, au):
         system = PlateSystem(au, au, gap=1e-6)

@@ -93,6 +93,10 @@ class TestTemperatureDifference:
             temperature_difference(system, 0.0, 300.0)
         with pytest.raises(ValueError):
             temperature_difference(system, 300.0, -5.0)
+        # checked before an empty gap list returns its empty curve
+        for T_low, T_high in ((0.0, 300.0), (300.0, math.nan), (math.inf, 300.0)):
+            with pytest.raises(ValueError, match="finite and all > 0"):
+                relative_correction_curve(au, au, [], T_low, T_high)
 
     def test_internal_identities(self, au):
         system = PlateSystem(au, au, gap=5e-7)
@@ -210,6 +214,21 @@ class TestSweep:
         with pytest.raises(RuntimeError, match=r"cell failed: pair=tab-Au.*1e-06.*300") as info:
             temperature_difference(PlateSystem(bad, au, gap=1e-6), 350.0, 300.0)
         assert isinstance(info.value.__cause__, TableRangeError)
+
+    def test_failing_cell_keeps_its_cause_in_worker_processes(self, au):
+        """jobs=2 raises the jobs=1 error, from the solver's own exception."""
+        th = ThermalState(300.0)
+        short = make_table_material(zeta=(0.5 * th.zeta(1), 10.5 * th.zeta(1)), eps=(1e5, 1e3))
+        spec = SweepSpec(pairs=((au, au), (short, au)), temperatures=(300.0,), gaps=(1e-6, 2e-6))
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match=r"cell failed: pair=tab-Au, a=1e-06 m, T=300 K") as info:
+                sweep(spec, jobs=jobs)
+            raised.append(info.value)
+        one, two = (e.__cause__ for e in raised)
+        assert type(one) is type(two) is TableRangeError
+        assert one.index == two.index == 10
+        assert str(raised[0]) == str(raised[1])
 
     def test_aluminium_attracts_strongest(self, au, cu, al):
         pairs = ((al, al), (al, au), (al, cu), (au, au), (au, cu), (cu, cu))
