@@ -12,13 +12,14 @@ vacuum.
 
 Numerical scheme: each term integrates over [m*gamma, m*gamma + 50] (the
 integrand has decayed by ~e^-100 at the top).  Terms are evaluated in
-batches of up to 64 as one numpy pass: every term gets 6 geometric
-G7/K15 panels with breaks m*gamma*(1 + 50/(m*gamma))**(k/6), which follow
-the scale m*gamma on which the reflection coefficients vary.  A term whose
-summed |K15 - G7| estimate misses the quadrature tolerance carries on from
-those 6 panels with adaptive bisection of its worst panel; all such terms
-of a batch bisect together in one array pass: at default settings the
-smallest m at low temperature (2 045 of 23 472 terms at 100 nm and 1 K).
+batches of up to 64 per gap, and the batches of several gaps of one
+(plates, T) share numpy passes of up to 256 terms; a term's bits do not
+depend on its pass.  Every term gets 6 geometric G7/K15 panels with breaks
+m*gamma*(1 + 50/(m*gamma))**(k/6), on the scale m*gamma where the
+reflection coefficients vary.  A term whose summed |K15 - G7| estimate
+misses the quadrature tolerance bisects its worst panel, together with all
+such terms of its pass: at default settings the smallest m at low
+temperature (2 045 of 23 472 terms at 100 nm and 1 K).
 The sum runs in ascending m with Kahan compensation and truncates once
 three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
@@ -49,6 +50,8 @@ __all__ = [
     "matsubara_term",
     "zero_frequency_term",
     "casimir_pressure",
+    "casimir_pressures",
+    "expected_terms",
     "ideal_metal_pressure_T0",
 ]
 
@@ -56,6 +59,7 @@ __all__ = [
 # terms one batch holds (64 * _PANELS * 15 = 5 760 integrand points)
 _PANELS = 6
 _MAX_BATCH = 64
+_MAX_ROWS = 256  # terms per kernel pass of a shared round: 23 040 points, <= 1.6 MB of temporaries
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
@@ -200,7 +204,7 @@ def _batch_parts(
     return batched_pair_quadrature(f, breaks, tol)
 
 
-def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
+def _eps_minus_one(mat1: Material, mat3: Material, m: np.ndarray, zeta: np.ndarray):
     """eps - 1 of both plates at the frequencies zeta of the indices m.
 
     Equal materials are evaluated once and return the same array twice,
@@ -220,8 +224,8 @@ def _eps_minus_one(system: PlateSystem, m: np.ndarray, zeta: np.ndarray):
             )
             raise
 
-    d1 = plate(system.mat1, "mat1")
-    return (d1, d1) if system.mat3 == system.mat1 else (d1, plate(system.mat3, "mat3"))
+    d1 = plate(mat1, "mat1")
+    return (d1, d1) if mat3 == mat1 else (d1, plate(mat3, "mat3"))
 
 
 def matsubara_term(
@@ -246,7 +250,7 @@ def matsubara_term(
     if m < 1:
         raise ValueError(f"matsubara_term needs m >= 1, got {m}")
     ms = np.array([m])
-    d1, d3 = _eps_minus_one(system, ms, thermal.zeta(ms))
+    d1, d3 = _eps_minus_one(system.mat1, system.mat3, ms, thermal.zeta(ms))
     tm, te = _batch_parts(ms * thermal.gamma(system.gap), d1, d3, tol)
     return float(tm[0] + te[0])
 
@@ -351,6 +355,11 @@ class PressureResult:
         return 1.0 - self.tm_share
 
 
+def expected_terms(gap: float, thermal: ThermalState, opts: SolverOptions = DEFAULT_OPTIONS) -> int:
+    """The m where the truncation rule should fire: ceil(ln(1/sum_rel_tol) / (2 gamma)) + 7."""
+    return math.ceil(math.log(1.0 / opts.sum_rel_tol) / (2.0 * thermal.gamma(gap))) + SUM_CONSECUTIVE + 4
+
+
 def casimir_pressure(
     system: PlateSystem,
     thermal: ThermalState,
@@ -371,14 +380,19 @@ def casimir_pressure(
         If the ceiling on m is reached before three consecutive terms fall
         below ``opts.sum_rel_tol`` of the running sum.
     """
+    return casimir_pressures(system.mat1, system.mat3, [system.gap], thermal, opts)[0]
+
+
+def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptions):
+    """One gap's pressure as a generator: it yields each batch's m and m*gamma,
+    is sent the batch's (TM, TE) terms, and returns the PressureResult."""
     a = system.gap
     gamma = thermal.gamma(a)
     prefactor = BOLTZMANN * thermal.T / (math.pi * a**3)
-    # Batches run up to the m where the truncation rule is expected to fire
-    # (terms fall off about as e^(-2 m gamma)); past it they start small and
-    # double, so short room-temperature sums compute few unused terms.
+    # batches run up to the m where the truncation rule is expected to fire, then
+    # start small and double: short room-temperature sums compute few unused terms
     extra = SUM_CONSECUTIVE + 4
-    target = math.ceil(math.log(1.0 / opts.sum_rel_tol) / (2.0 * gamma)) + extra
+    target = expected_terms(a, thermal, opts)
     # the default ceiling never stops the sum before the rule is expected to fire
     ceiling = math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * a * BOLTZMANN * thermal.T))
     m_ceiling = opts.m_max or max(ceiling, target)
@@ -388,7 +402,6 @@ def casimir_pressure(
     comp = 0.0
     tm_chunks = []
     te_chunks = []
-    zeta1 = thermal.zeta(1)
     below = 0
     used = 0
     converged = False
@@ -397,8 +410,7 @@ def casimir_pressure(
     while m <= m_ceiling and not converged:
         size = min(max(target + 1 - m, extra), _MAX_BATCH)
         chunk = np.arange(m, min(m + size, m_ceiling + 1))
-        d1, d3 = _eps_minus_one(system, chunk, zeta1 * chunk)
-        tm_c, te_c = _batch_parts(chunk * gamma, d1, d3, opts.quad_tol)
+        tm_c, te_c = yield chunk, chunk * gamma
         tm_chunks.append(tm_c)
         te_chunks.append(te_c)
         for term in (tm_c + te_c).tolist():
@@ -434,6 +446,40 @@ def casimir_pressure(
         te_terms=np.concatenate([[prefactor * i0_te], prefactor * np.concatenate(te_chunks)[:used]]),
         info=SummationInfo(gamma=gamma, m_ceiling=m_ceiling),
     )
+
+
+def _join(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def casimir_pressures(
+    mat1: Material, mat3: Material, gaps, thermal: ThermalState, opts: SolverOptions = DEFAULT_OPTIONS
+) -> list[PressureResult]:
+    """:func:`casimir_pressure` of the plates at each of ``gaps``, in order, with
+    the same bits: each gap keeps its own batches, ceiling and Kahan sum, and
+    each round the next batches of all unfinished gaps share one eps evaluation
+    and kernel passes of at most _MAX_ROWS terms.  The first error met is raised."""
+    sums = [_matsubara_sum(PlateSystem(mat1, mat3, gap=a), thermal, opts) for a in gaps]
+    batches = {i: next(s) for i, s in enumerate(sums)}
+    while batches:
+        ms, mg = map(_join, zip(*batches.values()))
+        d1, d3 = _eps_minus_one(mat1, mat3, ms, thermal.zeta(1) * ms)
+        parts = []
+        for k in range(0, len(ms), _MAX_ROWS):
+            rows = slice(k, k + _MAX_ROWS)
+            e1 = d1[rows]  # equal plates pass one array twice
+            parts.append(_batch_parts(mg[rows], e1, e1 if d3 is d1 else d3[rows], opts.quad_tol))
+        tm, te = map(_join, zip(*parts))
+        start = 0
+        for i, (m, _) in list(batches.items()):
+            stop = start + len(m)
+            try:
+                batches[i] = sums[i].send((tm[start:stop], te[start:stop]))
+            except StopIteration as done:
+                del batches[i]
+                sums[i] = done.value  # the result takes the place of its sum
+            start = stop
+    return sums
 
 
 def ideal_metal_pressure_T0(gap: float) -> float:

@@ -4,7 +4,7 @@ Sweeps evaluate grids of cells and render them as self-describing CSV (SI
 units, ``#`` lines recording the solver settings and constants).  Every
 other observable is a view of one sweep's rows: the temperature differences
 (how much thermal occupation of the Matsubara modes weakens the attraction)
-and the grouping of the preset pairs.  Only ``_evaluate_cell`` calls the
+and the grouping of the preset pairs.  Only ``_evaluate_unit`` calls the
 solver, so all of them fail the same way, naming the cell.
 """
 
@@ -26,7 +26,9 @@ from .lifshitz import (
     PlateSystem,
     SolverOptions,
     ThermalState,
-    casimir_pressure,
+    casimir_pressure,  # noqa: F401  (unused: perfbench's tracer wraps it here)
+    casimir_pressures,
+    expected_terms,
 )
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
 
 #: default gap span covered by sweeps, in metres
 GAP_RANGE = (50e-9, 3e-6)
+_UNIT_TERMS = 4096  # most expected terms in one unit of a sweep: bounds the results it holds
 
 SWEEP_CSV_HEADER = "pair,material_1,material_2,gap_m,temperature_K,pressure_Pa,tm_share,te_share,m_used"
 DIFF_CSV_HEADER = (
@@ -187,59 +190,70 @@ def relative_correction_curve(
     return out
 
 
-def _evaluate_cell(args) -> SweepRow | Exception:
-    mat1, mat3, a, T, opts = args
+def _evaluate_unit(unit) -> list[SweepRow | Exception]:
+    """Rows of one unit's cells; a failing unit is solved again cell by cell, and
+    each failing cell returns its exception (a worker loses a raised one's cause)."""
+    mat1, mat3, gaps, T, opts = unit
     try:
-        result = casimir_pressure(PlateSystem(mat1, mat3, gap=a), ThermalState(T), opts)
+        results = casimir_pressures(mat1, mat3, gaps, ThermalState(T), opts)
     except Exception as exc:
-        return exc  # a worker process hands back a returned exception intact, a raised one not
-    return SweepRow(
-        pair=_pair_label(mat1, mat3),
-        material_1=mat1.name,
-        material_2=mat3.name,
-        gap=a,
-        temperature=T,
-        pressure=result.abs_pressure,
-        tm_share=result.tm_share,
-        te_share=result.te_share,
-        m_used=result.m_used,
-    )
+        if len(gaps) == 1:
+            return [exc]
+        return [out for a in gaps for out in _evaluate_unit((mat1, mat3, [a], T, opts))]
+    shares = [r.tm_share for r in results]  # te_share is 1 - tm_share: one share computation per row
+    return [
+        SweepRow(_pair_label(mat1, mat3), mat1.name, mat3.name, a, T, r.abs_pressure, s, 1.0 - s, r.m_used)
+        for a, r, s in zip(gaps, results, shares)
+    ]
 
 
-def _cell_row(cell, outcome: SweepRow | Exception) -> SweepRow:
-    """The row of ``cell``, or a RuntimeError naming it, raised from the solver's exception."""
-    if isinstance(outcome, Exception):
-        pair, a, T = _pair_label(*cell[:2]), cell[2], cell[3]
-        raise RuntimeError(f"cell failed: pair={pair}, a={a:g} m, T={T:g} K: {outcome}") from outcome
-    return outcome
+def _units(spec: SweepSpec, opts: SolverOptions) -> list[tuple]:
+    """Row-ordered units (mat1, mat3, gaps, T, opts): runs of one (pair, T) within _UNIT_TERMS, or one cell."""
+    units = []
+    for (mat1, mat3), T in itertools.product(spec.pairs, spec.temperatures):
+        terms = _UNIT_TERMS  # the first gap opens a unit
+        for a in spec.gaps:
+            n = expected_terms(a, ThermalState(T), opts)
+            if terms + n > _UNIT_TERMS:
+                units.append((mat1, mat3, [], T, opts))
+                terms = 0
+            units[-1][2].append(a)
+            terms += n
+    return units
 
 
-def _worker_count(jobs: int, cpus: int | None, n_cells: int) -> int:
-    """Worker processes for a sweep: ``jobs``, but no more than CPUs or cells."""
-    return max(1, min(jobs, cpus or 1, n_cells))
+def _worker_count(jobs: int, cpus: int | None, n_units: int) -> int:
+    """Worker processes for a sweep: ``jobs``, but no more than CPUs or units."""
+    return max(1, min(jobs, cpus or 1, n_units))
+
+
+def _assemble(units, outcomes) -> list[SweepRow]:
+    """The rows of ``units`` in order; the first failing cell raises."""
+    rows = []
+    for (mat1, mat3, gaps, T, _), unit_rows in zip(units, outcomes):
+        for a, row in zip(gaps, unit_rows):
+            if isinstance(row, Exception):
+                pair = _pair_label(mat1, mat3)
+                raise RuntimeError(f"cell failed: pair={pair}, a={a:g} m, T={T:g} K: {row}") from row
+            rows.append(row)
+    return rows
 
 
 def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1) -> list[SweepRow]:
     """Evaluate every (pair, T, a) cell of ``spec``.
 
-    Rows come back ordered by (pair in given order, T ascending, a
-    ascending) regardless of ``jobs``; with jobs > 1 the cells are
-    evaluated in worker processes but assembled in order, so the output is
-    identical to a sequential run.  The pool never has more workers than
-    CPUs or cells; when that leaves one, the sweep runs in this process.
-    The first failing cell aborts the whole sweep with a RuntimeError naming
-    (pair, a, T), raised from the solver's own exception at any ``jobs``.
+    Rows come back ordered by (pair in given order, T ascending, a ascending).
+    Runs of gaps of one (pair, T) are solved together as units (:func:`_units`)
+    in min(jobs, CPUs, units) worker processes (in-process for one), assembled
+    in order so that ``jobs`` never changes the output.  The first failing cell
+    raises a RuntimeError naming (pair, a, T), from the solver's own exception.
     """
-    cells = [
-        (mat1, mat3, a, T, opts)
-        for (mat1, mat3), T, a in itertools.product(spec.pairs, spec.temperatures, spec.gaps)
-    ]
-    workers = _worker_count(jobs, os.cpu_count(), len(cells))
+    units = _units(spec, opts)
+    workers = _worker_count(jobs, os.cpu_count(), len(units))
     if workers == 1:
-        return [_cell_row(c, _evaluate_cell(c)) for c in cells]
+        return _assemble(units, map(_evaluate_unit, units))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = pool.map(_evaluate_cell, cells, chunksize=max(1, len(cells) // (4 * workers)))
-        return [_cell_row(c, out) for c, out in zip(cells, outcomes)]
+        return _assemble(units, pool.map(_evaluate_unit, units))
 
 
 def _metadata_lines(opts: SolverOptions) -> list[str]:

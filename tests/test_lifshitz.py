@@ -21,6 +21,8 @@ from casimir_plates.lifshitz import (
     _mode_parts,
     _reflection_coefficients,
     casimir_pressure,
+    casimir_pressures,
+    expected_terms,
     ideal_metal_pressure_T0,
     matsubara_term,
     zero_frequency_term,
@@ -625,6 +627,54 @@ class TestBatchedKernel:
         for m in (1, 5, r.m_used):
             term = (r.tm_terms[m] + r.te_terms[m]) / prefactor
             assert term == pytest.approx(matsubara_term(m, system, th), rel=1e-14)
+
+
+class TestCasimirPressures:
+    @pytest.mark.parametrize(
+        ("plates", "T", "gaps"),
+        [
+            # the first round holds more than 256 terms, so a gap's batch
+            # straddles two kernel passes
+            ("Au-Au", 300.0, (5e-8, 6e-8, 7e-8, 1e-7, 3e-7, 1e-6, 3e-6)),
+            ("Au-Cu", 350.0, (5e-8, 2e-7, 1e-6)),
+            ("Cu-Au", 350.0, (5e-8, 2e-7, 1e-6)),
+            ("plasma", 300.0, (2e-7, 1e-6, 5e-6)),  # with the m = 0 TE term
+            ("table-Au", 300.0, (5e-8, 2e-7, 1e-6)),
+            ("Au-Au", 1.0, (1e-6, 3e-6)),
+            ("Au-Au", 300.0, (1e-6, 5e-8, 3e-6, 2e-7, 1e-6)),  # unsorted, one gap twice
+        ],
+    )
+    def test_batching_across_gaps_keeps_every_bit(self, au, cu, plates, T, gaps):
+        knots = np.geomspace(5e14, 5e15, 8)
+        materials = {
+            "Au": au,
+            "Cu": cu,
+            "plasma": Material("pl", PlasmaParams(au.model.omega_p)),
+            "table": make_table_material(zeta=knots, eps=au.eps(knots), fallback=au.model),
+        }
+        m1, m3 = (materials[n] for n in plates.split("-")) if "-" in plates else (materials[plates],) * 2
+        th = ThermalState(T)
+        batched = casimir_pressures(m1, m3, gaps, th)
+        single = [casimir_pressure(PlateSystem(m1, m3, gap=a), th) for a in gaps]
+        assert len(batched) == len(gaps)
+        for b, s in zip(batched, single):
+            assert b.pressure == s.pressure
+            assert b.m_used == s.m_used
+            assert b.info == s.info
+            assert np.array_equal(b.tm_terms, s.tm_terms)
+            assert np.array_equal(b.te_terms, s.te_terms)
+        if plates == "plasma":
+            assert all(r.te_terms[0] > 0.0 for r in batched)
+
+    def test_no_gaps_give_no_results(self, au):
+        assert casimir_pressures(au, au, [], ThermalState(300.0)) == []
+
+    def test_expected_terms_is_the_truncation_target(self, au):
+        th = ThermalState(300.0)
+        r = casimir_pressure(PlateSystem(au, au, gap=1e-7), th)
+        n = expected_terms(1e-7, th)
+        assert n == math.ceil(math.log(1e9) / (2.0 * th.gamma(1e-7))) + 7
+        assert r.m_used <= n <= r.info.m_ceiling
 
 
 class TestIdealMetal:

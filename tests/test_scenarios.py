@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from casimir_plates.dispersion import TableRangeError
-from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure
+from casimir_plates import lifshitz, scenarios
+from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure, expected_terms
 from casimir_plates.scenarios import (
     DIFF_CSV_HEADER,
     GAP_RANGE,
@@ -241,6 +242,63 @@ class TestSweep:
         spec = SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(5e-8, 1e-7, 2e-7))
         rows = sweep(spec)
         assert rows[0].pressure > rows[1].pressure > rows[2].pressure
+
+    def test_gaps_share_kernel_calls(self, au, cu, monkeypatch):
+        """Units of consecutive gaps make fewer than one kernel call per cell
+        (2.70 when every cell ran its own batches), with the same points."""
+        calls, points = [0], [0]
+        kernel_parts = lifshitz._mode_parts
+
+        def counting(y, mg, d1, d3):
+            calls[0] += 1
+            points[0] += y.size
+            return kernel_parts(y, mg, d1, d3)
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", counting)
+        gaps = tuple(gap_grid(5e-8, 3e-6, "log", 60))
+        spec = SweepSpec(pairs=((au, au), (au, cu)), temperatures=(300.0, 350.0), gaps=gaps)
+        rows = sweep(spec)
+        shared_calls, shared_points = calls[0], points[0]
+        points[0] = 0
+        for (m1, m3), T in ((p, T) for p in spec.pairs for T in spec.temperatures):
+            for a in gaps:
+                casimir_pressure(PlateSystem(m1, m3, gap=a), ThermalState(T))
+        assert len(rows) == 240
+        assert shared_calls < 1.0 * len(rows)
+        assert shared_points == points[0]
+
+    def test_units_stay_within_the_term_budget(self, au, monkeypatch):
+        calls = []
+        batched = scenarios.casimir_pressures
+
+        def recording(mat1, mat3, gaps, thermal, opts):
+            calls.append((tuple(gaps), thermal))
+            return batched(mat1, mat3, gaps, thermal, opts)
+
+        monkeypatch.setattr(scenarios, "casimir_pressures", recording)
+        gaps = tuple(gap_grid(1e-7, 3e-6, "log", 10))
+        sweep(SweepSpec(pairs=((au, au),), temperatures=(1.0,), gaps=gaps))
+        assert tuple(a for unit, _ in calls for a in unit) == gaps
+        assert any(len(unit) > 1 for unit, _ in calls)
+        for unit, thermal in calls:
+            assert len(unit) == 1 or sum(expected_terms(a, thermal) for a in unit) <= 4096
+
+    def test_failing_cell_in_a_shared_unit_is_named(self, au):
+        """The cells of a failing unit are evaluated again one by one, so the
+        first failing one raises its own error at any jobs."""
+        th = ThermalState(300.0)
+        short = make_table_material(zeta=(0.5 * th.zeta(1), 10.5 * th.zeta(1)), eps=(1e5, 1e3))
+        spec = SweepSpec(pairs=((short, au),), temperatures=(300.0,), gaps=(1e-6, 2e-6, 4e-6))
+        assert len(scenarios._units(spec, lifshitz.DEFAULT_OPTIONS)) == 1
+        with pytest.raises(ValueError) as alone:
+            casimir_pressure(PlateSystem(short, au, gap=1e-6), th)
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match=r"cell failed: pair=tab-Au, a=1e-06 m, T=300 K") as info:
+                sweep(spec, jobs=jobs)
+            cause = info.value.__cause__
+            assert type(cause) is type(alone.value) is TableRangeError
+            assert str(cause) == str(alone.value)
+            assert cause.index == alone.value.index
 
 
 class TestGroupOrdering:
