@@ -21,6 +21,7 @@ from .lifshitz import (
     PressureResult,
     SolverOptions,
     SummationInfo,
+    TermBudgetError,
     ThermalState,
     casimir_pressure,
     ideal_metal_pressure_T0,

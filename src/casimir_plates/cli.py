@@ -3,7 +3,8 @@
 Subcommands: ``pressure`` (one cell), ``sweep`` (grid to CSV/text),
 ``diff`` (two-temperature comparison), ``materials`` (list presets),
 ``import-table`` (validate a permittivity CSV).  Exit codes: 0 success,
-1 usage error, 2 computation error.
+1 usage error (a cell over the lifshitz ``TERM_BUDGET`` without ``--m-max``
+counts as one), 2 computation error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dispersion import (
     material_preset,
     preset_names,
 )
-from .lifshitz import SolverOptions
+from .lifshitz import SolverOptions, TermBudgetError
 from .scenarios import (
     PRESET_PAIRS,
     SweepRow,
@@ -373,6 +374,10 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as exc:
+        # a cell over the term budget is refused before it runs: the user bounds it
+        if isinstance(exc.__cause__, TermBudgetError):
+            print(f"error: {exc} (--m-max on the command line)", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

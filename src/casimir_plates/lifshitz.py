@@ -10,21 +10,27 @@ polylogarithm) plus, for two plasma plates, a TE part by quadrature.
 Conventions: the returned pressure is negative (attractive), and the gap is
 vacuum.
 
-Numerical scheme: each term integrates over [m*gamma, m*gamma + 50] (the
-integrand has decayed by ~e^-100 at the top).  Terms are evaluated in
-batches of up to 64 per gap, and the batches of several gaps of one
-(plates, T) share numpy passes of up to 256 terms; a term's bits do not
-depend on its pass.  Every term gets 6 geometric G7/K15 panels with breaks
-m*gamma*(1 + 50/(m*gamma))**(k/6), on the scale m*gamma where the
-reflection coefficients vary.  A term whose summed |K15 - G7| estimate
-misses the quadrature tolerance bisects its worst panel, together with all
-such terms of its pass: at default settings the smallest m at low
-temperature (2 045 of 23 472 terms at 100 nm and 1 K).
-The sum runs in ascending m with Kahan compensation and truncates once
-three consecutive terms each contribute less than 1e-9 of the running
+Numerical scheme: each term integrates over y >= m*gamma.  Terms are
+evaluated in batches of up to 64 per gap, and the batches of several gaps of
+one (plates, T) share numpy passes of up to 256 terms; a term's bits do not
+depend on its pass.  In t = y - m*gamma the integrand is e^(-2t) times a
+smooth function, so a term with m*gamma >= 1.2 first takes the 16- and
+24-point Gauss-Laguerre rules for that weight (40 points, one kernel call)
+and keeps GL24 when |GL24 - GL16| meets the quadrature tolerance.  Below
+that floor the reflection coefficients turn on the scale m*gamma near
+t = 0 and the two rules can agree on a wrong value, so those terms, and the
+few that miss the test, take 6 geometric G7/K15 panels on [m*gamma,
+m*gamma + 50] (the integrand has decayed by ~e^-100 at the top) with breaks
+m*gamma*(1 + 50/(m*gamma))**(k/6).  A term whose summed |K15 - G7| estimate
+misses the tolerance bisects its worst panel, together with all such terms
+of its pass: at default settings the smallest m at low temperature (2 045
+of 23 472 terms at 100 nm and 1 K, which averages 54 kernel points per
+term).  The sum runs in ascending m with Kahan compensation and truncates
+once three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
 and the m at which that rule is expected to fire, so that large a*T leaves
-room for the three terms.
+room for the three terms.  Without an explicit m_max, a cell that expects
+more than TERM_BUDGET (2e6) terms is refused before its first batch.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ __all__ = [
     "SummationInfo",
     "PressureResult",
     "ConvergenceError",
+    "TermBudgetError",
+    "TERM_BUDGET",
     "matsubara_term",
     "zero_frequency_term",
     "casimir_pressure",
@@ -61,8 +69,64 @@ _PANELS = 6
 _MAX_BATCH = 64
 _MAX_ROWS = 256  # terms per kernel pass of a shared round: 23 040 points, <= 1.6 MB of temporaries
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
+# Gauss-Laguerre rules for weight e^(-x) on [0, inf) (Abramowitz and Stegun
+# 25.4.45, table 25.9): nodes x_i and scaled weights w_i*exp(x_i), to double
+# precision from 60-digit roots of L_16 and L_24
+_GL16 = (
+    (0.08764941047892784, 0.22503631486424724),
+    (0.46269632891508083, 0.5258360527623425),
+    (1.141057774831227, 0.831961391687087),
+    (2.1292836450983805, 1.1460992409637516),
+    (3.4370866338932067, 1.4717513169668086),
+    (5.078018614549768, 1.813134687381348),
+    (7.070338535048234, 2.1755175196946075),
+    (9.438314336391938, 2.565762750165029),
+    (12.21422336886616, 2.993215086371375),
+    (15.441527368781617, 3.4712344831020903),
+    (19.180156856753136, 4.020044086444669),
+    (23.515905693991908, 4.672516607732854),
+    (28.57872974288214, 5.487420657986153),
+    (34.58339870228662, 6.5853612332892135),
+    (41.94045264768833, 8.276357984364234),
+    (51.70116033954332, 11.824277551658435),
+)
+_GL24 = (
+    (0.05901985218150798, 0.15149441285950946),
+    (0.31123914619848375, 0.35325658252992387),
+    (0.7660969055459367, 0.5567845632881526),
+    (1.4255975908036131, 0.7626853176973091),
+    (2.2925620586321904, 0.9718726322465476),
+    (3.3707742642089977, 1.185357893037801),
+    (4.665083703467171, 1.4042656272844185),
+    (6.1815351187367655, 1.6298686157570415),
+    (7.927539247172152, 1.8636350553320729),
+    (9.912098015077706, 2.1072911510814802),
+    (12.146102711729766, 2.362905891041935),
+    (14.642732289596674, 2.633008753163857),
+    (17.417992646508978, 2.9207575797277245),
+    (20.491460082616424, 3.2301851334923537),
+    (23.887329848169735, 3.5665733773687567),
+    (27.635937174332717, 3.9370437554551603),
+    (31.776041352374722, 4.351531188863512),
+    (36.35840580165162, 4.8244818548980355),
+    (41.45172048487077, 5.378022079789182),
+    (47.153106445156325, 6.048417812619965),
+    (53.60857454469507, 6.900898352180496),
+    (61.05853144721876, 8.069965156146957),
+    (69.96224003510503, 9.902793319484225),
+    (81.49827923394889, 13.820532094792005),
+)
+# both rules as one nodes-first column of points t = y - m*gamma = x/2 and
+# weights w*exp(x)/2, which absorb the integrand's e^(-2t)
+_GL_T, _GL_W = (np.array(c)[:, None] / 2.0 for c in zip(*_GL16, *_GL24))
+# smallest m*gamma that tries the Gauss-Laguerre pass: below about 0.6 the
+# two rules can agree while both are wrong; see the README "Numerical notes"
+_GL_FLOOR = 1.2
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
+#: most terms a cell may expect (:func:`expected_terms`) without an explicit
+#: m_max: about 10 s of direct sum at 1 K
+TERM_BUDGET = 2_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -75,6 +139,10 @@ class ConvergenceError(RuntimeError):
 
     def __reduce__(self):  # keeps both attributes through a sweep's worker process
         return type(self), (self.args[0], self.m_ceiling, self.last_relative)
+
+
+class TermBudgetError(ValueError):
+    """A cell expects more than TERM_BUDGET Matsubara terms and no m_max bounds it."""
 
 
 @dataclass(frozen=True)
@@ -184,24 +252,49 @@ def _batch_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    Every term starts from _PANELS geometric G7/K15 panels on
-    [mg, mg + _Y_SPAN], all evaluated in one array pass, and is refined by
-    :func:`batched_pair_quadrature` until it meets max(tol, tol*|I|).  A
-    term's result depends only on its own inputs.  Pass the same array as
-    d1 and d3 for identical plates.
+    A term with mg >= _GL_FLOOR first takes GL16 and GL24 at y = mg + x/2
+    in one 40-point kernel call for all such terms; it keeps GL24 when
+    |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).  Every other term
+    starts from _PANELS geometric G7/K15 panels on [mg, mg + _Y_SPAN], all
+    evaluated in one array pass, and is refined by
+    :func:`batched_pair_quadrature` until it meets the same test.  A term's
+    result depends only on its own inputs: the node sums are sequential
+    reductions over the nodes-first axis.  Pass the same array as d1 and d3
+    for identical plates.
     """
-    lo = mg[:, None]
-    breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
-    breaks[:, 0] = mg
-    breaks[:, -1] = mg + _Y_SPAN
     same = d3 is d1
-    d1, d3 = d1[:, None], d3[:, None]
+    tm, te = np.empty_like(mg), np.empty_like(mg)
+    panel = mg < _GL_FLOOR
+    rows = np.flatnonzero(~panel)
+    if rows.size:
+        lo, e1 = mg[rows], d1[rows]
+        u, v = _mode_parts(_GL_T + lo, lo, e1, e1 if same else d3[rows])
+        # weighted values as (node, TM|TE, term): the node axis is never the
+        # contiguous one, so each rule's reduce adds whole node rows in node
+        # order and a term's sum does not depend on how many terms there are
+        uv = np.empty((len(_GL_T), 2, rows.size))
+        np.multiply(u, _GL_W, out=uv[:, 0])
+        np.multiply(v, _GL_W, out=uv[:, 1])
+        n = len(_GL16)
+        gl16, (u24, v24) = np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
+        total = u24 + v24
+        panel[rows] = np.abs(total - (gl16[0] + gl16[1])) > np.maximum(tol, tol * np.abs(total))
+        tm[rows], te[rows] = u24, v24
+    rows = np.flatnonzero(panel)
+    if rows.size:
+        lo = mg[rows, None]
+        breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
+        breaks[:, 0] = lo[:, 0]
+        breaks[:, -1] = lo[:, 0] + _Y_SPAN
+        e1 = d1[rows, None]
+        e3 = e1 if same else d3[rows, None]
 
-    def f(y, rows):
-        e1 = d1[rows]
-        return _mode_parts(y, lo[rows], e1, e1 if same else d3[rows])
+        def f(y, r):
+            e = e1[r]
+            return _mode_parts(y, lo[r], e, e if same else e3[r])
 
-    return batched_pair_quadrature(f, breaks, tol)
+        tm[rows], te[rows] = batched_pair_quadrature(f, breaks, tol)
+    return tm, te
 
 
 def _eps_minus_one(mat1: Material, mat3: Material, m: np.ndarray, zeta: np.ndarray):
@@ -396,6 +489,11 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     # the default ceiling never stops the sum before the rule is expected to fire
     ceiling = math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * a * BOLTZMANN * thermal.T))
     m_ceiling = opts.m_max or max(ceiling, target)
+    if opts.m_max is None and target > TERM_BUDGET:
+        raise TermBudgetError(
+            f"a = {a:g} m at T = {thermal.T:g} K expects {target} Matsubara terms, more than "
+            f"the budget of {TERM_BUDGET}; set m_max to bound the sum"
+        )
 
     i0_tm, i0_te = _zero_frequency_parts(system, opts.quad_tol)
     total = i0_tm + i0_te  # |I0|; every later term is positive

@@ -120,6 +120,21 @@ class TestPressure:
         assert "ceiling" in err
         assert "sum_rel_tol" not in err  # the CLI has no flag for it
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pressure", "--pair", "Au,Au", "--gap", "100nm", "--temp", "0.01"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", "100nm", "--temps", "0.01,300", "--jobs", "2"],
+        ],
+    )
+    def test_cell_over_the_term_budget_is_a_usage_error(self, argv, capsys):
+        """100 nm at 10 mK expects 3.8e6 Matsubara terms, over the 2e6 budget;
+        it is refused before its first batch, also from a worker process."""
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "budget" in err
+        assert "--m-max" in err
+
     def test_large_gap_default_ceiling(self, capsys):
         """At 20 um and 300 K the default ceiling leaves room for the truncation rule."""
         assert run(["pressure", "--pair", "Au,Au", "--gap", "20um", "--temp", "300"]) == 0

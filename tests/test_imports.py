@@ -1,6 +1,9 @@
-"""No package module imports another module's private names."""
+"""Import hygiene: no private names across modules, and a lean CLI import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import casimir_plates
@@ -19,3 +22,14 @@ def test_no_private_names_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert not offences, offences
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """The Gauss-Laguerre rules are baked-in constants: numpy.polynomial would
+    add several ms and over 1 MB to every CLI process."""
+    code = "import sys, casimir_plates.cli; print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,9 +13,11 @@ from casimir_plates.constants import BOLTZMANN, SPEED_OF_LIGHT
 from casimir_plates.dispersion import Material, PlasmaParams
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
+    TERM_BUDGET,
     ConvergenceError,
     PlateSystem,
     SolverOptions,
+    TermBudgetError,
     ThermalState,
     _batch_parts,
     _mode_parts,
@@ -28,6 +30,7 @@ from casimir_plates.lifshitz import (
     zero_frequency_term,
 )
 from casimir_plates.quadrature import QuadratureError, adaptive_pair_quadrature
+from casimir_plates.scenarios import gap_grid
 from casimir_plates.special import ZETA3
 from conftest import make_table_material
 
@@ -508,12 +511,13 @@ class TestCasimirPressure:
 
 @pytest.fixture
 def refined(monkeypatch):
-    """Record the mg of every term the kernel evaluates in a refinement pass."""
+    """Record the mg of every term the kernel evaluates in a G7/K15 bisection pass."""
     seen = set()
     kernel_parts = lifshitz._mode_parts
 
     def recording(y, mg, d1, d3):
-        if y.shape[-1] != lifshitz._PANELS:
+        # points (15, rows, 2): both halves of each refined row's worst panel
+        if y.ndim == 3 and y.shape[-1] == 2:
             seen.update(mg.ravel().tolist())
         return kernel_parts(y, mg, d1, d3)
 
@@ -606,8 +610,9 @@ class TestBatchedKernel:
         assert len(refined) <= 0.1 * r.m_used
 
     def test_kernel_points_per_term(self, au, monkeypatch):
-        """Most terms meet the tolerance on their first 90 points, and the
-        rest refine: under 100 kernel points per summed term at 100 nm / 1 K."""
+        """Terms with m*gamma >= 1.2 mostly meet the tolerance on their 40
+        Gauss-Laguerre points; the rest take 90 panel points and may refine:
+        under 60 kernel points per summed term at 100 nm / 1 K (54.2)."""
         points = [0]
         kernel_parts = lifshitz._mode_parts
 
@@ -617,7 +622,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(lifshitz, "_mode_parts", counting)
         r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
-        assert points[0] < 100 * r.m_used
+        assert points[0] < 60 * r.m_used
 
     def test_matches_single_term_evaluation(self, au):
         system = PlateSystem(au, au, gap=1e-6)
@@ -627,6 +632,151 @@ class TestBatchedKernel:
         for m in (1, 5, r.m_used):
             term = (r.tm_terms[m] + r.te_terms[m]) / prefactor
             assert term == pytest.approx(matsubara_term(m, system, th), rel=1e-14)
+
+
+@pytest.fixture
+def panel_rows(monkeypatch):
+    """Record the mg of every term that takes the G7/K15 panel path."""
+    seen = set()
+    batched = lifshitz.batched_pair_quadrature
+
+    def recording(f, breaks, tol):
+        seen.update(breaks[:, 0].tolist())
+        return batched(f, breaks, tol)
+
+    monkeypatch.setattr(lifshitz, "batched_pair_quadrature", recording)
+    return seen
+
+
+def _term_inputs(mat1, mat3, gap, T, ms):
+    """mg and eps - 1 of both plates for the terms ms of one cell (one array for equal plates)."""
+    th = ThermalState(T)
+    ms = np.asarray(ms)
+    zeta = th.zeta(ms)
+    d1 = mat1.eps(zeta) - 1.0
+    return ms * th.gamma(gap), d1, d1 if mat3 == mat1 else mat3.eps(zeta) - 1.0
+
+
+def _panel_reference(monkeypatch, mg, d1, d3):
+    """The panel path alone at quad_tol 1e-15: the reference for Gauss-Laguerre terms."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lifshitz, "_GL_FLOOR", math.inf)
+        tm, te = _batch_parts(mg, d1, d3, 1e-15)
+    return tm + te
+
+
+# gaps of the standard sweep (60 from 50 nm to 3 um) and of a 12-gap 1 K
+# scan; at 81.27 nm, Al-Cu at 350 K has m = 5 at m*gamma = 0.39, where GL16
+# and GL24 agree to 1e-10 and are both wrong
+_SWEEP_GAPS = gap_grid(5e-8, 3e-6, "log", 60)
+_SCAN_GAPS = gap_grid(5e-8, 3e-6, "log", 12)
+_AL_CU_GAP = _SWEEP_GAPS[7]
+
+
+class TestGaussLaguerrePass:
+    def test_constants_match_laggauss(self):
+        from numpy.polynomial.laguerre import laggauss
+
+        for rule in (lifshitz._GL16, lifshitz._GL24):
+            x, w = laggauss(len(rule))
+            baked = np.array(rule)
+            np.testing.assert_allclose(baked[:, 0], x, rtol=1e-14, atol=0.0)
+            # laggauss's weights carry up to about 2e-13 relative error
+            np.testing.assert_allclose(baked[:, 1], w * np.exp(x), rtol=1e-12, atol=0.0)
+        both = np.array(lifshitz._GL16 + lifshitz._GL24)
+        assert np.array_equal(lifshitz._GL_T[:, 0], both[:, 0] / 2.0)
+        assert np.array_equal(lifshitz._GL_W[:, 0], both[:, 1] / 2.0)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_accepted_terms_meet_the_tolerance(self, au, cu, al, monkeypatch, panel_rows, tol):
+        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        # cells of a wider scan (8 pairs; 1, 300 and 350 K; 50 nm-3 um) where
+        # GL16 and GL24 agree on a wrong value below the floor: at m*gamma
+        # 0.39 and 0.51 (1e-10), 0.63, 0.88 and 0.98 (1e-13), and where the worst
+        # accepted term sits, just above the floor
+        cells = [
+            (al, cu, _AL_CU_GAP, 350.0, np.arange(1, 150)),
+            (au, au, _SWEEP_GAPS[13], 300.0, np.arange(1, 80)),
+            (plasma, plasma, 5e-7, 300.0, np.arange(1, 40)),
+            (plasma, au, 1e-7, 350.0, np.arange(1, 100)),
+            (plasma, plasma, _SCAN_GAPS[2], 1.0, np.arange(1490, 1520)),
+            (al, al, _SCAN_GAPS[0], 1.0, np.arange(6350, 6400)),
+            (au, au, _SCAN_GAPS[1], 1.0, np.arange(4930, 4950)),
+            (al, al, _SCAN_GAPS[1], 1.0, np.arange(6000, 6400)),
+        ]
+        accepted = 0
+        for mat1, mat3, gap, T, ms in cells:
+            mg, d1, d3 = _term_inputs(mat1, mat3, gap, T, ms)
+            ref = _panel_reference(monkeypatch, mg, d1, d3)
+            panel_rows.clear()
+            tm, te = _batch_parts(mg, d1, d3, tol)
+            gl = np.array([x not in panel_rows for x in mg.tolist()])
+            assert not (gl & (mg < lifshitz._GL_FLOOR)).any()
+            bound = np.maximum(tol, tol * np.abs(ref[gl]))
+            assert np.all(np.abs((tm + te)[gl] - ref[gl]) <= bound)
+            accepted += gl.sum()
+        assert accepted > 300
+
+    def test_term_below_the_floor_takes_the_panel_path(self, al, cu, monkeypatch, panel_rows):
+        mg, d1, d3 = _term_inputs(al, cu, _AL_CU_GAP, 350.0, [5])
+        assert mg[0] == pytest.approx(0.39, abs=0.005)
+        ref = _panel_reference(monkeypatch, mg, d1, d3)[0]
+        bound = max(1e-10, 1e-10 * ref)
+        panel_rows.clear()
+        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        assert panel_rows == {mg[0]}
+        assert abs(tm[0] + te[0] - ref) <= bound
+        # without the floor the two rules agree on a value 19 times the tolerance off
+        monkeypatch.setattr(lifshitz, "_GL_FLOOR", 0.0)
+        panel_rows.clear()
+        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        assert not panel_rows
+        assert abs(tm[0] + te[0] - ref) > 10 * bound
+
+    def test_a_term_keeps_its_bits_in_any_batch(self, al, cu, panel_rows):
+        # Gauss-Laguerre terms, panel terms and refined panel terms together
+        mg, d1, d3 = _term_inputs(al, cu, 2e-7, 1.0, [1, 2, 3, 500, 2200, 2201, 5000, 9000])
+        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        assert 0 < len(panel_rows) < len(mg)
+        for i in range(len(mg)):
+            one = _batch_parts(mg[i : i + 1], d1[i : i + 1], d3[i : i + 1], 1e-10)
+            assert (one[0][0], one[1][0]) == (tm[i], te[i])
+
+
+class TestTermBudget:
+    """The direct sum refuses a cell that expects more than TERM_BUDGET terms,
+    from the estimate alone: a kernel stub fails if any term is evaluated."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def stub_kernel(self, monkeypatch):
+        def kernel(*args):
+            raise self.Reached
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", kernel)
+
+    @pytest.mark.parametrize(("gap", "T", "terms"), [(1e-7, 0.01, 3.8e6), (5e-8, 1e-3, 7.6e7)])
+    @pytest.mark.parametrize("model", ["drude", "plasma"])
+    def test_refuses_before_the_first_batch(self, au, stub_kernel, gap, T, terms, model):
+        th = ThermalState(T)
+        assert expected_terms(gap, th) == pytest.approx(terms, rel=0.01)
+        plate = au if model == "drude" else Material("pl", PlasmaParams(au.model.omega_p))
+        with pytest.raises(TermBudgetError, match="m_max"):
+            casimir_pressure(PlateSystem(plate, plate, gap=gap), th)
+        with pytest.raises(TermBudgetError):
+            casimir_pressures(plate, plate, [gap, 1e-6], th)
+
+    def test_admits_the_largest_anchor_cell(self, au, stub_kernel):
+        th = ThermalState(1.0)
+        assert expected_terms(5e-8, th) == 75533 < TERM_BUDGET  # it sums 38 458
+        with pytest.raises(self.Reached):
+            casimir_pressure(PlateSystem(au, au, gap=5e-8), th)
+
+    def test_an_explicit_m_max_bounds_the_sum(self, au, stub_kernel):
+        with pytest.raises(self.Reached):
+            casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(0.01), SolverOptions(m_max=1000))
 
 
 class TestCasimirPressures:
