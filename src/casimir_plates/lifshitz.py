@@ -11,10 +11,13 @@ Conventions: the returned pressure is negative (attractive), and the gap is
 vacuum.
 
 Numerical scheme: each term integrates over y >= m*gamma.  Terms are
-evaluated in batches of up to 64 per gap, and the batches of several gaps of
-one (plates, T) share numpy passes of up to 256 terms; a term's bits do not
-depend on its pass.  In t = y - m*gamma the integrand is e^(-2t) times a
-smooth function, so a term with m*gamma >= 1.2 first takes the 16- and
+evaluated in batches per gap of up to max(64, target/16) terms, at most
+4 096, where the target is the m at which the truncation rule below is
+expected to fire; a sum so evaluates at most one batch past its last
+summed term.  The batches of several gaps of one (plates, T) share numpy
+passes of up to 256 terms; a term's bits do not depend on its pass.  In
+t = y - m*gamma the integrand is e^(-2t) times a smooth function, so at
+quad_tol >= 1e-13 a term with m*gamma >= 1.2 first takes the 16- and
 24-point Gauss-Laguerre rules for that weight (40 points, one kernel call)
 and keeps GL24 when |GL24 - GL16| meets the quadrature tolerance.  Below
 that floor the reflection coefficients turn on the scale m*gamma near
@@ -63,10 +66,13 @@ __all__ = [
     "ideal_metal_pressure_T0",
 ]
 
-# G7/K15 panels per term in the batched kernel's first pass, and the most
-# terms one batch holds (64 * _PANELS * 15 = 5 760 integrand points)
+# G7/K15 panels per term in the batched kernel's first pass
 _PANELS = 6
+# most terms in one batch of a gap: _MAX_BATCH, or 1/16 of the gap's expected
+# terms when that is more, but never more than _BATCH_CLAMP, so that a round's
+# per-term arrays stay bounded up to TERM_BUDGET
 _MAX_BATCH = 64
+_BATCH_CLAMP = 4096
 _MAX_ROWS = 256  # terms per kernel pass of a shared round: 23 040 points, <= 1.6 MB of temporaries
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
 # Gauss-Laguerre rules for weight e^(-x) on [0, inf) (Abramowitz and Stegun
@@ -122,6 +128,9 @@ _GL_T, _GL_W = (np.array(c)[:, None] / 2.0 for c in zip(*_GL16, *_GL24))
 # smallest m*gamma that tries the Gauss-Laguerre pass: below about 0.6 the
 # two rules can agree while both are wrong; see the README "Numerical notes"
 _GL_FLOOR = 1.2
+# smallest tolerance the pass is used at: the floor was validated at 1e-10 and
+# 1e-13, and at 1e-14 an accepted term just above it misses by 1.3 times
+_GL_MIN_TOL = 1e-13
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
 #: most terms a cell may expect (:func:`expected_terms`) without an explicit
@@ -252,11 +261,11 @@ def _batch_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    A term with mg >= _GL_FLOOR first takes GL16 and GL24 at y = mg + x/2
-    in one 40-point kernel call for all such terms; it keeps GL24 when
-    |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).  Every other term
-    starts from _PANELS geometric G7/K15 panels on [mg, mg + _Y_SPAN], all
-    evaluated in one array pass, and is refined by
+    At tol >= _GL_MIN_TOL, a term with mg >= _GL_FLOOR first takes GL16
+    and GL24 at y = mg + x/2 in one 40-point kernel call for all such terms;
+    it keeps GL24 when |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).
+    Every other term starts from _PANELS geometric G7/K15 panels on
+    [mg, mg + _Y_SPAN], all evaluated in one array pass, and is refined by
     :func:`batched_pair_quadrature` until it meets the same test.  A term's
     result depends only on its own inputs: the node sums are sequential
     reductions over the nodes-first axis.  Pass the same array as d1 and d3
@@ -264,7 +273,7 @@ def _batch_parts(
     """
     same = d3 is d1
     tm, te = np.empty_like(mg), np.empty_like(mg)
-    panel = mg < _GL_FLOOR
+    panel = mg < (_GL_FLOOR if tol >= _GL_MIN_TOL else math.inf)
     rows = np.flatnonzero(~panel)
     if rows.size:
         lo, e1 = mg[rows], d1[rows]
@@ -483,9 +492,12 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     gamma = thermal.gamma(a)
     prefactor = BOLTZMANN * thermal.T / (math.pi * a**3)
     # batches run up to the m where the truncation rule is expected to fire, then
-    # start small and double: short room-temperature sums compute few unused terms
+    # start small and double: short room-temperature sums compute few unused terms.
+    # A long sum's batches grow with it, so it runs in about 16 rounds and
+    # computes at most about 1/16 of its target past the last term it sums
     extra = SUM_CONSECUTIVE + 4
     target = expected_terms(a, thermal, opts)
+    cap = min(max(_MAX_BATCH, target // 16), _BATCH_CLAMP)
     # the default ceiling never stops the sum before the rule is expected to fire
     ceiling = math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * a * BOLTZMANN * thermal.T))
     m_ceiling = opts.m_max or max(ceiling, target)
@@ -506,7 +518,7 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     last_relative = math.inf
     m = 1
     while m <= m_ceiling and not converged:
-        size = min(max(target + 1 - m, extra), _MAX_BATCH)
+        size = min(max(target + 1 - m, extra), cap)
         chunk = np.arange(m, min(m + size, m_ceiling + 1))
         tm_c, te_c = yield chunk, chunk * gamma
         tm_chunks.append(tm_c)

@@ -742,6 +742,26 @@ class TestGaussLaguerrePass:
             one = _batch_parts(mg[i : i + 1], d1[i : i + 1], d3[i : i + 1], 1e-10)
             assert (one[0][0], one[1][0]) == (tm[i], te[i])
 
+    def test_tolerances_below_1e13_take_the_panel_path(self, al, monkeypatch, panel_rows):
+        # the 753 terms of Al-Al at 72.5 nm and 1 K with m*gamma in [1.2, 1.35],
+        # where the worst Gauss-Laguerre term of the floor scan sits
+        gamma = ThermalState(1.0).gamma(_SCAN_GAPS[1])
+        ms = np.arange(math.ceil(1.2 / gamma), math.floor(1.35 / gamma) + 1)
+        mg, d1, d3 = _term_inputs(al, al, _SCAN_GAPS[1], 1.0, ms)
+        assert len(mg) == 753
+        ref = _panel_reference(monkeypatch, mg, d1, d3)
+        bound = np.maximum(1e-14, 1e-14 * np.abs(ref))
+        panel_rows.clear()
+        tm, te = _batch_parts(mg, d1, d3, 1e-14)
+        assert panel_rows == set(mg.tolist())
+        assert np.all(np.abs(tm + te - ref) <= bound)  # 0.0028 of it
+        # the Gauss-Laguerre pass at 1e-14 accepts a term 1.3 times the tolerance off
+        monkeypatch.setattr(lifshitz, "_GL_MIN_TOL", 0.0)
+        panel_rows.clear()
+        tm, te = _batch_parts(mg, d1, d3, 1e-14)
+        assert len(panel_rows) < len(mg)
+        assert np.max(np.abs(tm + te - ref) / bound) > 1.2
+
 
 class TestTermBudget:
     """The direct sum refuses a cell that expects more than TERM_BUDGET terms,
@@ -777,6 +797,27 @@ class TestTermBudget:
     def test_an_explicit_m_max_bounds_the_sum(self, au, stub_kernel):
         with pytest.raises(self.Reached):
             casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(0.01), SolverOptions(m_max=1000))
+
+    def test_a_round_near_the_budget_stays_bounded(self, au, stub_kernel, monkeypatch):
+        th = ThermalState(0.01)
+        assert TERM_BUDGET / 2 < expected_terms(2e-7, th) < TERM_BUDGET
+        terms, rows = [], []
+        eps_minus_one, batch_parts = lifshitz._eps_minus_one, lifshitz._batch_parts
+
+        def counting_eps(mat1, mat3, m, zeta):
+            terms.append(len(m))
+            return eps_minus_one(mat1, mat3, m, zeta)
+
+        def counting_batch(mg, d1, d3, tol):
+            rows.append(len(mg))
+            return batch_parts(mg, d1, d3, tol)
+
+        monkeypatch.setattr(lifshitz, "_eps_minus_one", counting_eps)
+        monkeypatch.setattr(lifshitz, "_batch_parts", counting_batch)
+        with pytest.raises(self.Reached):
+            casimir_pressure(PlateSystem(au, au, gap=2e-7), th)
+        assert terms == [lifshitz._BATCH_CLAMP] == [4096]
+        assert rows == [lifshitz._MAX_ROWS] == [256]
 
 
 class TestCasimirPressures:
@@ -825,6 +866,54 @@ class TestCasimirPressures:
         n = expected_terms(1e-7, th)
         assert n == math.ceil(math.log(1e9) / (2.0 * th.gamma(1e-7))) + 7
         assert r.m_used <= n <= r.info.m_ceiling
+
+
+class TestBatchGrowth:
+    """A gap's batches grow with its expected terms: a long sum runs in a few
+    rounds, and a term's bits do not depend on its batch."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """The length of every batch of m handed to eps, one per round."""
+        seen = []
+        eps_minus_one = lifshitz._eps_minus_one
+
+        def counting(mat1, mat3, m, zeta):
+            seen.append(len(m))
+            return eps_minus_one(mat1, mat3, m, zeta)
+
+        monkeypatch.setattr(lifshitz, "_eps_minus_one", counting)
+        return seen
+
+    @pytest.mark.parametrize("gap", [5e-8, 1e-7, 2e-7, 5e-7, 1e-6, 3e-6])
+    def test_growth_keeps_every_bit_and_bounds_the_waste(self, au, monkeypatch, rounds, gap):
+        system, th = PlateSystem(au, au, gap=gap), ThermalState(1.0)
+        grown = casimir_pressure(system, th)
+        assert sum(rounds) - grown.m_used <= grown.m_used / 8
+        with monkeypatch.context() as patch:
+            patch.setattr(lifshitz, "_BATCH_CLAMP", 64)
+            fixed = casimir_pressure(system, th)
+        assert grown.pressure == fixed.pressure
+        assert grown.m_used == fixed.m_used
+        assert np.array_equal(grown.tm_terms, fixed.tm_terms)
+        assert np.array_equal(grown.te_terms, fixed.te_terms)
+
+    def test_rounds_at_100nm_and_1K(self, au, rounds):
+        r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
+        assert r.m_used == 23472
+        assert len(rounds) <= 20  # 367 with 64-term batches
+
+    @pytest.mark.parametrize(("gap", "T"), [(5e-8, 300.0), (5e-6, 1.0)])
+    def test_short_sums_keep_their_batches(self, au, monkeypatch, rounds, gap, T):
+        th = ThermalState(T)
+        assert expected_terms(gap, th) < 1024
+        casimir_pressure(PlateSystem(au, au, gap=gap), th)
+        grown = list(rounds)
+        rounds.clear()
+        monkeypatch.setattr(lifshitz, "_BATCH_CLAMP", 64)
+        casimir_pressure(PlateSystem(au, au, gap=gap), th)
+        assert grown == rounds
+        assert max(grown) <= 64
 
 
 class TestIdealMetal:

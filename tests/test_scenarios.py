@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from casimir_plates.dispersion import TableRangeError
+from casimir_plates.constants import BOLTZMANN
+from casimir_plates.dispersion import Material, PlasmaParams, TableRangeError
 from casimir_plates import lifshitz, scenarios
 from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure, expected_terms
 from casimir_plates.scenarios import (
@@ -22,6 +23,7 @@ from casimir_plates.scenarios import (
     sweep_rows_to_csv,
     temperature_difference,
 )
+from casimir_plates.special import ZETA3
 from conftest import make_table_material
 
 
@@ -132,6 +134,35 @@ class TestRelativeCorrectionCurve:
         # the relative 300/350 correction grows toward its micron-scale maximum
         assert rels[0] < rels[1] < rels[2]
         assert relative_correction_curve(au, au, [], 300.0, 350.0) == []
+
+    @pytest.fixture
+    def prescriptions(self, au):
+        """The 300 -> 350 K curve of Au-Au under the Drude and plasma models."""
+        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        gaps = [1e-6, 2e-5, 1e-4]
+        return {
+            "drude": relative_correction_curve(au, au, gaps, 300.0, 350.0),
+            "plasma": relative_correction_curve(plasma, plasma, gaps, 300.0, 350.0),
+        }
+
+    def test_prescriptions_disagree_in_sign_at_one_micron(self, prescriptions):
+        drude, plasma = prescriptions["drude"][0], prescriptions["plasma"][0]
+        assert drude.a == plasma.a == 1e-6
+        assert drude.delta == pytest.approx(2.619e-5, rel=1e-3)  # attraction weakens
+        assert plasma.delta == pytest.approx(-2.092e-6, rel=1e-3)  # and strengthens
+        assert abs(drude.delta) > 10 * abs(plasma.delta)
+
+    def test_deltas_reach_their_classical_limits(self, prescriptions):
+        """|delta| tends to zeta(3) k dT / (8 pi a**3) for Drude and twice that
+        for plasma, which approaches it slowly: 1.99345 at 20 um, 1.99869 at 100 um."""
+        ratios = {
+            name: [abs(d.delta) / (ZETA3 * BOLTZMANN * 50.0 / (8.0 * math.pi * d.a**3)) for d in rows[1:]]
+            for name, rows in prescriptions.items()
+        }
+        assert ratios["drude"] == pytest.approx([1.0, 1.0], rel=1e-8)
+        at_20um, at_100um = ratios["plasma"]
+        assert 1.993 < at_20um < at_100um < 2.0
+        assert at_100um > 1.9985
 
 
 class TestSweep:
