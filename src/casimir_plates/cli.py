@@ -47,19 +47,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "m": 1.0}
-_ENERGY_UNITS = {"meV": 1e-3 * EV_RAD_PER_S, "eV": EV_RAD_PER_S}
+# a quantity is its number divided by its unit's power of ten, which rounds
+# once, so '200nm' is the double 200e-9; times the inexact 1e-9 it rounds twice
+_LENGTH_SCALES = {"nm": 1e9, "um": 1e6, "µm": 1e6, "m": 1.0}
+_ENERGY_SCALES = {"meV": 1e3, "eV": 1.0}
+_TEMPERATURE_SCALES = {"K": 1.0, "": 1.0}
 
 
-def _parse_quantity(text: str, kind: str, units: dict[str, float], example: str) -> float:
-    m = re.fullmatch(rf"\s*([0-9.eE+-]+?)\s*({'|'.join(units)})\s*", text)
-    if not m:
-        raise _UsageError(f"cannot parse {kind} {text!r}; use e.g. {example}")
+def _parse_quantity(
+    text: str, kind: str, scales: dict[str, float], example: str, factor: float = 1.0
+) -> float:
+    m = re.fullmatch(rf"\s*(.+?)\s*({'|'.join(scales)})\s*", text)
     try:
-        value = float(m.group(1))
-    except ValueError:
-        raise _UsageError(f"cannot parse {kind} {text!r}") from None
-    value *= units[m.group(2)]
+        value = float(m.group(1)) / scales[m.group(2)] * factor
+    except (AttributeError, ValueError):  # no match (m is None), or not a number
+        raise _UsageError(f"cannot parse {kind} {text!r}; use e.g. {example}") from None
     if not (math.isfinite(value) and value > 0.0):
         raise _UsageError(f"{kind} must be finite and > 0, got {text!r}")
     return value
@@ -67,26 +69,25 @@ def _parse_quantity(text: str, kind: str, units: dict[str, float], example: str)
 
 def parse_length(text: str) -> float:
     """'200nm' | '1um' | '2.5e-7m' -> metres."""
-    return _parse_quantity(text, "length", _LENGTH_UNITS, "200nm, 1um, 2.5e-7m")
+    return _parse_quantity(text, "length", _LENGTH_SCALES, "200nm, 1um, 2.5e-7m")
 
 
 def parse_temperature(text: str) -> float:
     """'300K' or '300' -> kelvin."""
-    t = text.strip()
-    if t.endswith("K"):
-        t = t[:-1]
-    try:
-        value = float(t)
-    except ValueError:
-        raise _UsageError(f"cannot parse temperature {text!r}; use e.g. 300 or 300K") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise _UsageError(f"temperature must be finite and > 0, got {text!r}")
-    return value
+    return _parse_quantity(text, "temperature", _TEMPERATURE_SCALES, "300 or 300K")
 
 
 def parse_energy(text: str) -> float:
     """'9.0eV' | '35meV' -> rad/s (imaginary-axis angular frequency)."""
-    return _parse_quantity(text, "energy", _ENERGY_UNITS, "9.0eV or 35meV")
+    return _parse_quantity(text, "energy", _ENERGY_SCALES, "9.0eV or 35meV", EV_RAD_PER_S)
+
+
+def _split(text: str, sep: str, what: str) -> list[str]:
+    """The non-blank items of a ``sep``-separated list; none is a usage error."""
+    items = [p for p in text.split(sep) if p.strip()]
+    if not items:
+        raise _UsageError(f"no {what} in {text!r}")
+    return items
 
 
 def parse_gaps(text: str) -> list[float]:
@@ -107,17 +108,11 @@ def parse_gaps(text: str) -> list[float]:
             return [float(a) for a in gap_grid(start, stop, spacing, count)]
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    values = [parse_length(p) for p in text.split(",") if p.strip()]
-    if not values:
-        raise _UsageError(f"no gaps in {text!r}")
-    return values
+    return [parse_length(p) for p in _split(text, ",", "gaps")]
 
 
 def parse_temperatures(text: str) -> list[float]:
-    values = [parse_temperature(p) for p in text.split(",") if p.strip()]
-    if not values:
-        raise _UsageError(f"no temperatures in {text!r}")
-    return values
+    return [parse_temperature(p) for p in _split(text, ",", "temperatures")]
 
 
 class RunConfig:
@@ -177,14 +172,6 @@ def _solver_options(args) -> SolverOptions:
         raise _UsageError(str(exc)) from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _row_text(row: SweepRow) -> str:
     return (
         f"pair: {row.pair}\n"
@@ -196,7 +183,7 @@ def _row_text(row: SweepRow) -> str:
     )
 
 
-def _cmd_pressure(args) -> int:
+def _cmd_pressure(args) -> str:
     config = RunConfig(args.drude, args.table)
     mat1, mat3 = config.pair(args.pair)
     gap = parse_length(args.gap)
@@ -204,20 +191,18 @@ def _cmd_pressure(args) -> int:
     opts = _solver_options(args)
     (row,) = sweep(SweepSpec(pairs=((mat1, mat3),), temperatures=(temp,), gaps=(gap,)), opts)
     if args.format == "csv":
-        _emit(sweep_rows_to_csv([row], opts), args.output)
-    else:
-        _emit(_row_text(row), args.output)
-    return 0
+        return sweep_rows_to_csv([row], opts)
+    return _row_text(row)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = RunConfig(args.drude, args.table)
     if args.pairs.strip().lower() == "all":
         names = [",".join(p) for p in PRESET_PAIRS]
     else:
-        names = [p for p in args.pairs.split(";") if p.strip()]
-        if not names:
-            raise _UsageError(f"no pairs in {args.pairs!r}")
+        names = _split(args.pairs, ";", "pairs")
     pairs = tuple(config.pair(p) for p in names)
     spec = SweepSpec(
         pairs=pairs,
@@ -233,13 +218,11 @@ def _cmd_sweep(args) -> int:
                 f"{r.pair:10} {r.gap:14.6e} {r.temperature:8g} {r.pressure:14.6e} "
                 f"{r.tm_share:7.4f} {r.te_share:7.4f} {r.m_used:7d}"
             )
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(sweep_rows_to_csv(rows, opts), args.output)
-    return 0
+        return "\n".join(lines) + "\n"
+    return sweep_rows_to_csv(rows, opts)
 
 
-def _cmd_diff(args) -> int:
+def _cmd_diff(args) -> str:
     config = RunConfig(args.drude, args.table)
     mat1, mat3 = config.pair(args.pair)
     temps = parse_temperatures(args.temps)
@@ -250,22 +233,20 @@ def _cmd_diff(args) -> int:
     opts = _solver_options(args)
     results = relative_correction_curve(mat1, mat3, gaps, t_low, t_high, opts)
     if args.format == "csv":
-        _emit(diff_results_to_csv(results, mat1, mat3, opts), args.output)
-    else:
-        lines = [
-            f"pair: {mat1.name}-{mat3.name}   T_low = {t_low:g} K   T_high = {t_high:g} K",
-            f"{'gap_m':>14} {'|F|(T_low)_Pa':>15} {'|F|(T_high)_Pa':>15} {'delta_Pa':>14} {'rel_%':>8}",
-        ]
-        for r in results:
-            lines.append(
-                f"{r.a:14.6e} {r.f_low_T:15.6e} {r.f_high_T:15.6e} "
-                f"{r.delta:14.6e} {100 * r.relative:8.3f}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return diff_results_to_csv(results, mat1, mat3, opts)
+    lines = [
+        f"pair: {mat1.name}-{mat3.name}   T_low = {t_low:g} K   T_high = {t_high:g} K",
+        f"{'gap_m':>14} {'|F|(T_low)_Pa':>15} {'|F|(T_high)_Pa':>15} {'delta_Pa':>14} {'rel_%':>8}",
+    ]
+    for r in results:
+        lines.append(
+            f"{r.a:14.6e} {r.f_low_T:15.6e} {r.f_high_T:15.6e} "
+            f"{r.delta:14.6e} {100 * r.relative:8.3f}"
+        )
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_materials(args) -> int:
+def _cmd_materials(args) -> str:
     lines = ["built-in materials (Drude):"]
     for name in preset_names():
         model = material_preset(name).model
@@ -275,11 +256,10 @@ def _cmd_materials(args) -> int:
             f"nu = {nu / EV_RAD_PER_S * 1e3:g} meV ({nu:.5g} rad/s)"
         )
     lines.append("units: gaps nm/um/m; temperatures K; custom Drude parameters eV/meV")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_import_table(args) -> int:
+def _cmd_import_table(args) -> str:
     fallback = _parse_drude(args.fallback, "--fallback", named=False)[1] if args.fallback else None
     table = load_permittivity_table(args.file, fallback=fallback)
     lines = [
@@ -289,8 +269,7 @@ def _cmd_import_table(args) -> int:
         f"eps range: {table.eps.min():.6g} .. {table.eps.max():.6g}",
         f"fallback: {'Drude' if table.fallback else 'none (queries outside range fail)'}",
     ]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _add_common(p: _Parser, *, jobs: bool = False) -> None:
@@ -369,7 +348,13 @@ def run(argv) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -471,8 +471,10 @@ def casimir_pressure(
 
     pressure = -(k_B T / (pi a**3)) * (|I0| + sum_{m>=1} term_m), with I0
     the zero-frequency term (see :func:`zero_frequency_term`; its TE part
-    uses ``opts.quad_tol``) and each term_m a G7/K15
-    quadrature, batched with array-native refinement (see the module notes).
+    uses ``opts.quad_tol``) and each term_m a batched quadrature (see the
+    module notes): at ``quad_tol`` >= 1e-13 a term with m*gamma >= 1.2 first
+    takes the GL16/GL24 Gauss-Laguerre pass, and the others, with any term
+    whose two rules disagree, take G7/K15 panels with array-native refinement.
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
 

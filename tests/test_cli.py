@@ -5,8 +5,17 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casimir_plates.cli import parse_energy, parse_gaps, parse_length, parse_temperature, run
+from casimir_plates.cli import (
+    RunConfig,
+    parse_energy,
+    parse_gaps,
+    parse_length,
+    parse_temperature,
+    run,
+)
 from casimir_plates.dispersion import material_preset
 from casimir_plates.lifshitz import PlateSystem, ThermalState, casimir_pressure
 
@@ -20,24 +29,39 @@ def _csv_data_rows(text: str) -> list[str]:
 
 class TestParsers:
     def test_lengths(self):
-        assert parse_length("200nm") == pytest.approx(200e-9, rel=1e-15)
-        assert parse_length("1um") == pytest.approx(1e-6, rel=1e-15)
+        assert parse_length("200nm") == 200e-9
+        assert parse_length("500nm") == 5e-07
+        assert parse_length("1um") == 1e-6
         assert parse_length("2.5e-7m") == 2.5e-7
-        assert parse_length(" 50 nm ") == pytest.approx(50e-9, rel=1e-15)
+        assert parse_length("50nm") == 50e-9
+        assert parse_length(" 50 nm ") == 50e-9
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_integer_lengths_are_the_literal_doubles(self, n):
+        """Dividing by the unit's power of ten rounds once, as the literal does."""
+        assert parse_length(f"{n}nm") == float(f"{n}e-9")
+        assert parse_length(f"{n}um") == float(f"{n}e-6")
 
     def test_temperatures(self):
         assert parse_temperature("300") == 300.0
         assert parse_temperature("300K") == 300.0
         assert parse_temperature(" 0.5K ") == 0.5
+        assert parse_temperature("300 K") == 300.0
 
     def test_energies(self):
         assert parse_energy("9.0eV") == 9.0 * 1.519e15
-        assert parse_energy("35meV") == pytest.approx(35.0e-3 * 1.519e15, rel=1e-15)
+        presets = (("Au", "9.0", "35"), ("Cu", "9.05", "30"), ("Al", "11.5", "50"))
+        for name, omega_p_ev, nu_mev in presets:
+            model = material_preset(name).model
+            assert parse_energy(f"{omega_p_ev}eV") == model.omega_p
+            assert parse_energy(f"{nu_mev}meV") == model.nu
 
     def test_gap_grids(self):
-        assert parse_gaps("100nm,50nm") == pytest.approx([100e-9, 50e-9], rel=1e-15)
+        assert parse_gaps("100nm,50nm") == [100e-9, 50e-9]
         grid = parse_gaps("50nm:200nm:log:3")
         assert grid == pytest.approx([50e-9, 100e-9, 200e-9], rel=1e-12)
+        assert parse_gaps("50nm:3um:log:60") == list(np.geomspace(50e-9, 3e-6, 60))
 
 
 class TestHelp:
@@ -99,6 +123,8 @@ class TestPressure:
             ["sweep", "--pairs", "Au,Au", "--gaps", ",", "--temps", "300"],
             ["diff", "--pair", "Au,Au", "--gaps", ",", "--temps", "300,350"],
             ["sweep", "--pairs", ";", "--gaps", "200nm", "--temps", "300"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "1e400"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300C"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -161,9 +187,10 @@ class TestPressure:
         )
         assert code == 0
         value = float(_csv_data_rows(capsys.readouterr().out)[0].split(",")[5])
+        custom = RunConfig(["MyAu:9.0eV:35meV"]).material("MyAu")
+        assert custom.model == material_preset("Au").model
         direct = casimir_pressure(PlateSystem(au, au, gap=2e-7), ThermalState(300.0))
-        # unit conversion can differ from the preset constants in the last bit
-        assert value == pytest.approx(direct.abs_pressure, rel=1e-9)
+        assert value == float(f"{direct.abs_pressure:.12e}")
 
     def test_tabulated_material_tracks_preset(self, tmp_path, capsys, au):
         drude = material_preset("au").model
@@ -275,6 +302,16 @@ class TestSweep:
         run(argv + ["--jobs", "2"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr("casimir_plates.cli.sweep", no_sweep)
+        argv = ["sweep", "--pairs", "Au,Au", "--gaps", "1um", "--temps", "300", "--jobs", jobs]
+        assert run(argv) == 1
+        assert "--jobs" in capsys.readouterr().err
 
     def test_text_format_header(self, capsys):
         code = run(["sweep", "--pairs", "Au,Au", "--gaps", "1um", "--temps", "300"])
