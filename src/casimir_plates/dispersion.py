@@ -304,7 +304,5 @@ def load_permittivity_table(source, fallback: DrudeParams | None = None) -> Perm
         epss.append(e)
     if not header_seen:
         raise TableError(f"missing header line {TABLE_HEADER!r}")
-    if len(zetas) < 2:
-        raise TableError(f"need at least 2 data rows, got {len(zetas)}")
     return PermittivityTable(zeta=np.array(zetas), eps=np.array(epss), fallback=fallback)
 

@@ -221,27 +221,23 @@ def _reflection_coefficients(p, p2, d):
     return tm, np.divide(d, s, out=s)
 
 
-def _mode_parts(y, mg, d1, d3):
+def _mode_parts(y, mg, d):
     """Integrand (TM, TE) parts y**2 * r*e^(-2y) / (1 - r*e^(-2y)) at y.
 
-    mg = m*gamma and d1/d3 = eps-1 of the two plates at zeta_m, broadcast
-    against y; r is the product of the two plates' reflection coefficients
-    at p = y/mg >= 1.  Each product is formed as (plate 1 factor) *
-    (plate 3 factor), so swapping the plates gives the same bits; when both
-    plates pass the same array (``d3 is d1``) the factor is computed once
-    and squared, which gives those bits too.  Arrays only: it works in
-    place on its own temporaries.
+    mg = m*gamma and d = eps-1 of the plates at zeta_m, one row per plate
+    (one row for equal plates), each row broadcast against y; r is the
+    product of the two plates' reflection coefficients at p = y/mg >= 1.
+    Each product is formed as (plate 1 factor) * (plate 3 factor), so
+    swapping the plates gives the same bits; with one row the factor is
+    computed once and squared, which gives those bits too.  Arrays only:
+    it works in place on its own temporaries.
     """
     p = y / mg
     p2 = p * p
-    tm, te = _reflection_coefficients(p, p2, d1)
-    if d3 is d1:
-        tm *= tm
-        te *= te
-    else:
-        tm3, te3 = _reflection_coefficients(p, p2, d3)
-        tm *= tm3
-        te *= te3
+    tm, te = _reflection_coefficients(p, p2, d[0])
+    tm3, te3 = (tm, te) if len(d) == 1 else _reflection_coefficients(p, p2, d[1])
+    tm *= tm3
+    te *= te3
     x = np.multiply(y, -2.0, out=p)
     np.exp(x, out=x)
     y2 = np.multiply(y, y, out=p2)
@@ -256,9 +252,7 @@ def _mode_parts(y, mg, d1, d3):
     return tm, te
 
 
-def _batch_parts(
-    mg: np.ndarray, d1: np.ndarray, d3: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
     At tol >= _GL_MIN_TOL, a term with mg >= _GL_FLOOR first takes GL16
@@ -268,16 +262,15 @@ def _batch_parts(
     [mg, mg + _Y_SPAN], all evaluated in one array pass, and is refined by
     :func:`batched_pair_quadrature` until it meets the same test.  A term's
     result depends only on its own inputs: the node sums are sequential
-    reductions over the nodes-first axis.  Pass the same array as d1 and d3
-    for identical plates.
+    reductions over the nodes-first axis.  d holds eps - 1 of the plates,
+    shape (plates, terms): one row for identical plates, as in _mode_parts.
     """
-    same = d3 is d1
     tm, te = np.empty_like(mg), np.empty_like(mg)
     panel = mg < (_GL_FLOOR if tol >= _GL_MIN_TOL else math.inf)
     rows = np.flatnonzero(~panel)
     if rows.size:
-        lo, e1 = mg[rows], d1[rows]
-        u, v = _mode_parts(_GL_T + lo, lo, e1, e1 if same else d3[rows])
+        lo = mg[rows]
+        u, v = _mode_parts(_GL_T + lo, lo, d[:, rows])
         # weighted values as (node, TM|TE, term): the node axis is never the
         # contiguous one, so each rule's reduce adds whole node rows in node
         # order and a term's sum does not depend on how many terms there are
@@ -295,24 +288,21 @@ def _batch_parts(
         breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
         breaks[:, 0] = lo[:, 0]
         breaks[:, -1] = lo[:, 0] + _Y_SPAN
-        e1 = d1[rows, None]
-        e3 = e1 if same else d3[rows, None]
+        e = d[:, rows, None]
 
         def f(y, r):
-            e = e1[r]
-            return _mode_parts(y, lo[r], e, e if same else e3[r])
+            return _mode_parts(y, lo[r], e[:, r])
 
         tm[rows], te[rows] = batched_pair_quadrature(f, breaks, tol)
     return tm, te
 
 
 def _eps_minus_one(mat1: Material, mat3: Material, m: np.ndarray, zeta: np.ndarray):
-    """eps - 1 of both plates at the frequencies zeta of the indices m.
-
-    Equal materials are evaluated once and return the same array twice,
-    which selects the kernel's one-factor path.  A failure is re-raised
-    with its type and attributes, its message prefixed with the plate and
-    the m and zeta_m of the first query that failed.
+    """eps - 1 of the plates at the frequencies zeta of the indices m, shape
+    (plates, terms): equal materials are evaluated once and give one row,
+    which selects the kernel's one-factor path.  A failure is re-raised with
+    its type and attributes, its message prefixed with the plate and the m
+    and zeta_m of the first query that failed.
     """
 
     def plate(material: Material, label: str) -> np.ndarray:
@@ -327,7 +317,7 @@ def _eps_minus_one(mat1: Material, mat3: Material, m: np.ndarray, zeta: np.ndarr
             raise
 
     d1 = plate(mat1, "mat1")
-    return (d1, d1) if mat3 == mat1 else (d1, plate(mat3, "mat3"))
+    return d1[None] if mat3 == mat1 else np.stack([d1, plate(mat3, "mat3")])
 
 
 def matsubara_term(
@@ -352,8 +342,8 @@ def matsubara_term(
     if m < 1:
         raise ValueError(f"matsubara_term needs m >= 1, got {m}")
     ms = np.array([m])
-    d1, d3 = _eps_minus_one(system.mat1, system.mat3, ms, thermal.zeta(ms))
-    tm, te = _batch_parts(ms * thermal.gamma(system.gap), d1, d3, tol)
+    d = _eps_minus_one(system.mat1, system.mat3, ms, thermal.zeta(ms))
+    tm, te = _batch_parts(ms * thermal.gamma(system.gap), d, tol)
     return float(tm[0] + te[0])
 
 
@@ -367,10 +357,10 @@ def _zero_frequency_parts(system: PlateSystem, tol: float) -> tuple[float, float
     tm = polylog3(r1 * r3) / 8.0
     if not (w1 > 0.0 and w3 > 0.0):
         return tm, 0.0
-    d1, d3 = (np.array([(w * system.gap / SPEED_OF_LIGHT) ** 2]) for w in (w1, w3))
+    d = np.array([[(w * system.gap / SPEED_OF_LIGHT) ** 2] for w in (w1, w3)])
 
     def f(y, rows):
-        te = _mode_parts(y, 1.0, d1, d3)[1]
+        te = _mode_parts(y, 1.0, d)[1]
         return np.zeros_like(te), te
 
     te = batched_pair_quadrature(f, np.linspace(0.0, _Y_SPAN, _PANELS + 1)[None, :], tol)[1]
@@ -560,10 +550,6 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     )
 
 
-def _join(arrays) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def casimir_pressures(
     mat1: Material, mat3: Material, gaps, thermal: ThermalState, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> list[PressureResult]:
@@ -574,14 +560,12 @@ def casimir_pressures(
     sums = [_matsubara_sum(PlateSystem(mat1, mat3, gap=a), thermal, opts) for a in gaps]
     batches = {i: next(s) for i, s in enumerate(sums)}
     while batches:
-        ms, mg = map(_join, zip(*batches.values()))
-        d1, d3 = _eps_minus_one(mat1, mat3, ms, thermal.zeta(1) * ms)
-        parts = []
+        ms, mg = (np.concatenate(x) for x in zip(*batches.values()))
+        d = _eps_minus_one(mat1, mat3, ms, thermal.zeta(ms))
+        tm, te = np.empty_like(mg), np.empty_like(mg)
         for k in range(0, len(ms), _MAX_ROWS):
             rows = slice(k, k + _MAX_ROWS)
-            e1 = d1[rows]  # equal plates pass one array twice
-            parts.append(_batch_parts(mg[rows], e1, e1 if d3 is d1 else d3[rows], opts.quad_tol))
-        tm, te = map(_join, zip(*parts))
+            tm[rows], te[rows] = _batch_parts(mg[rows], d[:, rows], opts.quad_tol)
         start = 0
         for i, (m, _) in list(batches.items()):
             stop = start + len(m)

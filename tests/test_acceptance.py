@@ -331,7 +331,7 @@ def test_criterion_7_property_suite(au, cu, al):
         th = ThermalState(300.0)
         g = th.gamma(a)
         d = drude_eps(th.zeta(1), au.model) - 1.0
-        tm, te = _mode_parts(np.array([g + 50.0, g + 1.0]), g, d, d)
+        tm, te = _mode_parts(np.array([g + 50.0, g + 1.0]), g, np.array([d]))
         tail, near_peak = tm + te
         cutoff_ok &= tail < 1e-30 * near_peak
     checks["g"] = cutoff_ok

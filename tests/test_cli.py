@@ -125,6 +125,13 @@ class TestPressure:
             ["sweep", "--pairs", ";", "--gaps", "200nm", "--temps", "300"],
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "1e400"],
             ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300C"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", "50nm:3um:log:x", "--temps", "300"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", "3um:50nm:log:5", "--temps", "300"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", "50nm:3um:cubic:5", "--temps", "300"],
+            ["sweep", "--pairs", "Au,Au", "--gaps", "50nm:3um:log:0", "--temps", "300"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300", "--table", "T"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300", "--tol", "2"],
+            ["pressure", "--pair", "Au,Au", "--gap", "200nm", "--temp", "300", "--m-max", "0"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

@@ -60,7 +60,7 @@ def coefficient_products(eps1, eps3, p):
 def kernel(y, mg, eps1, eps3):
     """The production integrand parts (TM, TE) of one term at the points y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _mode_parts(y, mg, np.float64(eps1) - 1.0, np.float64(eps3) - 1.0)
+    return _mode_parts(y, mg, np.array([eps1, eps3], dtype=float) - 1.0)
 
 
 def oracle_parts(mg, d, tol=1e-13, offsets=(0.0, 10.0, 50.0)):
@@ -125,9 +125,9 @@ class TestIntegrationPoint:
         kernel_parts = lifshitz._mode_parts
         lowest = []
 
-        def recording(y, mg, d1, d3):
+        def recording(y, mg, d):
             lowest.append(float(np.min(y / mg)))
-            return kernel_parts(y, mg, d1, d3)
+            return kernel_parts(y, mg, d)
 
         monkeypatch.setattr(lifshitz, "_mode_parts", recording)
         casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(1.0))
@@ -275,8 +275,7 @@ class TestMatsubaraTerm:
         assert t1 > t2 > t5 > 0.0
 
     def test_transparent_plates_contribute_nothing(self):
-        d = np.zeros(1)
-        tm, te = _batch_parts(np.array([0.5]), d, d, 1e-10)
+        tm, te = _batch_parts(np.array([0.5]), np.zeros((1, 1)), 1e-10)
         assert tm[0] == 0.0
         assert te[0] == 0.0
 
@@ -515,25 +514,26 @@ def refined(monkeypatch):
     seen = set()
     kernel_parts = lifshitz._mode_parts
 
-    def recording(y, mg, d1, d3):
+    def recording(y, mg, d):
         # points (15, rows, 2): both halves of each refined row's worst panel
         if y.ndim == 3 and y.shape[-1] == 2:
             seen.update(mg.ravel().tolist())
-        return kernel_parts(y, mg, d1, d3)
+        return kernel_parts(y, mg, d)
 
     monkeypatch.setattr(lifshitz, "_mode_parts", recording)
     return seen
 
 
 def _low_t_batch(au):
-    """mg and eps - 1 of terms m = 1..32 and 240..271 of Au-Au at 1 um and 1 K.
+    """mg and eps - 1 of terms m = 1..32 and 240..271 of Au-Au at 1 um and 1 K,
+    eps - 1 as the one row of equal plates.
 
     The batch mixes terms that refine (the smallest m) with terms that meet
     the tolerance on their first panels.
     """
     th = ThermalState(1.0)
     ms = np.concatenate([np.arange(1, 33), np.arange(240, 272)])
-    return ms * th.gamma(1e-6), au.eps(th.zeta(ms)) - 1.0
+    return ms * th.gamma(1e-6), au.eps(th.zeta(ms))[None] - 1.0
 
 
 class TestBatchedKernel:
@@ -556,7 +556,7 @@ class TestBatchedKernel:
         the production kernel from the batch's own first-pass panels."""
         mg, d = _low_t_batch(au)
         tol = 1e-10
-        tm, te = _batch_parts(mg, d, d, tol)
+        tm, te = _batch_parts(mg, d, tol)
         lo = mg[:, None]
         breaks = lo * (1.0 + 50.0 / lo) ** (np.arange(lifshitz._PANELS + 1) / lifshitz._PANELS)
         breaks[:, 0] = mg
@@ -566,7 +566,7 @@ class TestBatchedKernel:
             if mg[i] in refined:
 
                 def f(y, i=i):
-                    u, v = _mode_parts(np.array([y]), mg[i], d[i], d[i])
+                    u, v = _mode_parts(np.array([y]), mg[i], d[:, i])
                     return float(u[0]), float(v[0])
 
                 assert (tm[i], te[i]) == adaptive_pair_quadrature(f, breaks[i], tol)
@@ -576,11 +576,11 @@ class TestBatchedKernel:
     def test_refined_terms_match_the_adaptive_oracle(self, au, refined):
         mg, d = _low_t_batch(au)
         tol = 1e-10
-        tm, te = _batch_parts(mg, d, d, tol)
+        tm, te = _batch_parts(mg, d, tol)
         assert 0 < len(refined) < len(mg)
         for i in range(len(mg)):
             if mg[i] in refined:
-                tm_o, te_o = oracle_parts(float(mg[i]), float(d[i]))
+                tm_o, te_o = oracle_parts(float(mg[i]), float(d[0, i]))
                 bound = max(tol, tol * (tm_o + te_o))
                 assert abs((tm[i] + te[i]) - (tm_o + te_o)) <= bound
                 assert abs(tm[i] - tm_o) <= bound
@@ -591,11 +591,33 @@ class TestBatchedKernel:
     def test_one_factor_path_gives_the_two_factor_bits(self, au, refined):
         mg, d = _low_t_batch(au)
         for tol in (1e-10, 1e-13):
-            one = _batch_parts(mg, d, d, tol)
-            two = _batch_parts(mg, d, d.copy(), tol)
+            one = _batch_parts(mg, d, tol)
+            two = _batch_parts(mg, np.concatenate([d, d]), tol)
             assert np.array_equal(one[0], two[0])
             assert np.array_equal(one[1], two[1])
         assert refined
+
+    @pytest.mark.parametrize(("T", "calls"), [(1.0, 20), (300.0, 2)])
+    @pytest.mark.parametrize(("mat3", "factors"), [("au", 1), ("cu", 2)])
+    def test_equal_plates_compute_one_reflection_factor(
+        self, au, request, monkeypatch, mat3, factors, T, calls
+    ):
+        """Each kernel call forms one plate factor for equal plates and two otherwise."""
+        counts = {"kernel": 0, "factor": 0}
+        kernel_parts, factor = lifshitz._mode_parts, lifshitz._reflection_coefficients
+
+        def counting_kernel(y, mg, d):
+            counts["kernel"] += 1
+            return kernel_parts(y, mg, d)
+
+        def counting_factor(p, p2, d):
+            counts["factor"] += 1
+            return factor(p, p2, d)
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", counting_kernel)
+        monkeypatch.setattr(lifshitz, "_reflection_coefficients", counting_factor)
+        casimir_pressure(PlateSystem(au, request.getfixturevalue(mat3), gap=1e-6), ThermalState(T))
+        assert counts == {"kernel": calls, "factor": factors * calls}
 
     def test_plate_swap_is_bit_identical_at_low_temperature(self, au, cu):
         th = ThermalState(1.0)
@@ -616,9 +638,9 @@ class TestBatchedKernel:
         points = [0]
         kernel_parts = lifshitz._mode_parts
 
-        def counting(y, mg, d1, d3):
+        def counting(y, mg, d):
             points[0] += y.size
-            return kernel_parts(y, mg, d1, d3)
+            return kernel_parts(y, mg, d)
 
         monkeypatch.setattr(lifshitz, "_mode_parts", counting)
         r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
@@ -649,19 +671,19 @@ def panel_rows(monkeypatch):
 
 
 def _term_inputs(mat1, mat3, gap, T, ms):
-    """mg and eps - 1 of both plates for the terms ms of one cell (one array for equal plates)."""
+    """mg and eps - 1 of the plates for the terms ms of one cell (one row for equal plates)."""
     th = ThermalState(T)
     ms = np.asarray(ms)
     zeta = th.zeta(ms)
     d1 = mat1.eps(zeta) - 1.0
-    return ms * th.gamma(gap), d1, d1 if mat3 == mat1 else mat3.eps(zeta) - 1.0
+    return ms * th.gamma(gap), d1[None] if mat3 == mat1 else np.stack([d1, mat3.eps(zeta) - 1.0])
 
 
-def _panel_reference(monkeypatch, mg, d1, d3):
+def _panel_reference(monkeypatch, mg, d):
     """The panel path alone at quad_tol 1e-15: the reference for Gauss-Laguerre terms."""
     with monkeypatch.context() as patch:
         patch.setattr(lifshitz, "_GL_FLOOR", math.inf)
-        tm, te = _batch_parts(mg, d1, d3, 1e-15)
+        tm, te = _batch_parts(mg, d, 1e-15)
     return tm + te
 
 
@@ -706,10 +728,10 @@ class TestGaussLaguerrePass:
         ]
         accepted = 0
         for mat1, mat3, gap, T, ms in cells:
-            mg, d1, d3 = _term_inputs(mat1, mat3, gap, T, ms)
-            ref = _panel_reference(monkeypatch, mg, d1, d3)
+            mg, d = _term_inputs(mat1, mat3, gap, T, ms)
+            ref = _panel_reference(monkeypatch, mg, d)
             panel_rows.clear()
-            tm, te = _batch_parts(mg, d1, d3, tol)
+            tm, te = _batch_parts(mg, d, tol)
             gl = np.array([x not in panel_rows for x in mg.tolist()])
             assert not (gl & (mg < lifshitz._GL_FLOOR)).any()
             bound = np.maximum(tol, tol * np.abs(ref[gl]))
@@ -718,28 +740,28 @@ class TestGaussLaguerrePass:
         assert accepted > 300
 
     def test_term_below_the_floor_takes_the_panel_path(self, al, cu, monkeypatch, panel_rows):
-        mg, d1, d3 = _term_inputs(al, cu, _AL_CU_GAP, 350.0, [5])
+        mg, d = _term_inputs(al, cu, _AL_CU_GAP, 350.0, [5])
         assert mg[0] == pytest.approx(0.39, abs=0.005)
-        ref = _panel_reference(monkeypatch, mg, d1, d3)[0]
+        ref = _panel_reference(monkeypatch, mg, d)[0]
         bound = max(1e-10, 1e-10 * ref)
         panel_rows.clear()
-        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        tm, te = _batch_parts(mg, d, 1e-10)
         assert panel_rows == {mg[0]}
         assert abs(tm[0] + te[0] - ref) <= bound
         # without the floor the two rules agree on a value 19 times the tolerance off
         monkeypatch.setattr(lifshitz, "_GL_FLOOR", 0.0)
         panel_rows.clear()
-        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        tm, te = _batch_parts(mg, d, 1e-10)
         assert not panel_rows
         assert abs(tm[0] + te[0] - ref) > 10 * bound
 
     def test_a_term_keeps_its_bits_in_any_batch(self, al, cu, panel_rows):
         # Gauss-Laguerre terms, panel terms and refined panel terms together
-        mg, d1, d3 = _term_inputs(al, cu, 2e-7, 1.0, [1, 2, 3, 500, 2200, 2201, 5000, 9000])
-        tm, te = _batch_parts(mg, d1, d3, 1e-10)
+        mg, d = _term_inputs(al, cu, 2e-7, 1.0, [1, 2, 3, 500, 2200, 2201, 5000, 9000])
+        tm, te = _batch_parts(mg, d, 1e-10)
         assert 0 < len(panel_rows) < len(mg)
         for i in range(len(mg)):
-            one = _batch_parts(mg[i : i + 1], d1[i : i + 1], d3[i : i + 1], 1e-10)
+            one = _batch_parts(mg[i : i + 1], d[:, i : i + 1], 1e-10)
             assert (one[0][0], one[1][0]) == (tm[i], te[i])
 
     def test_tolerances_below_1e13_take_the_panel_path(self, al, monkeypatch, panel_rows):
@@ -747,18 +769,18 @@ class TestGaussLaguerrePass:
         # where the worst Gauss-Laguerre term of the floor scan sits
         gamma = ThermalState(1.0).gamma(_SCAN_GAPS[1])
         ms = np.arange(math.ceil(1.2 / gamma), math.floor(1.35 / gamma) + 1)
-        mg, d1, d3 = _term_inputs(al, al, _SCAN_GAPS[1], 1.0, ms)
+        mg, d = _term_inputs(al, al, _SCAN_GAPS[1], 1.0, ms)
         assert len(mg) == 753
-        ref = _panel_reference(monkeypatch, mg, d1, d3)
+        ref = _panel_reference(monkeypatch, mg, d)
         bound = np.maximum(1e-14, 1e-14 * np.abs(ref))
         panel_rows.clear()
-        tm, te = _batch_parts(mg, d1, d3, 1e-14)
+        tm, te = _batch_parts(mg, d, 1e-14)
         assert panel_rows == set(mg.tolist())
         assert np.all(np.abs(tm + te - ref) <= bound)  # 0.0028 of it
         # the Gauss-Laguerre pass at 1e-14 accepts a term 1.3 times the tolerance off
         monkeypatch.setattr(lifshitz, "_GL_MIN_TOL", 0.0)
         panel_rows.clear()
-        tm, te = _batch_parts(mg, d1, d3, 1e-14)
+        tm, te = _batch_parts(mg, d, 1e-14)
         assert len(panel_rows) < len(mg)
         assert np.max(np.abs(tm + te - ref) / bound) > 1.2
 
@@ -808,9 +830,9 @@ class TestTermBudget:
             terms.append(len(m))
             return eps_minus_one(mat1, mat3, m, zeta)
 
-        def counting_batch(mg, d1, d3, tol):
+        def counting_batch(mg, d, tol):
             rows.append(len(mg))
-            return batch_parts(mg, d1, d3, tol)
+            return batch_parts(mg, d, tol)
 
         monkeypatch.setattr(lifshitz, "_eps_minus_one", counting_eps)
         monkeypatch.setattr(lifshitz, "_batch_parts", counting_batch)

@@ -280,10 +280,10 @@ class TestSweep:
         calls, points = [0], [0]
         kernel_parts = lifshitz._mode_parts
 
-        def counting(y, mg, d1, d3):
+        def counting(y, mg, d):
             calls[0] += 1
             points[0] += y.size
-            return kernel_parts(y, mg, d1, d3)
+            return kernel_parts(y, mg, d)
 
         monkeypatch.setattr(lifshitz, "_mode_parts", counting)
         gaps = tuple(gap_grid(5e-8, 3e-6, "log", 60))
