@@ -17,18 +17,23 @@ expected to fire; a sum so evaluates at most one batch past its last
 summed term.  The batches of several gaps of one (plates, T) share numpy
 passes of up to 256 terms; a term's bits do not depend on its pass.  In
 t = y - m*gamma the integrand is e^(-2t) times a smooth function, so at
-quad_tol >= 1e-13 a term with m*gamma >= 1.2 first takes the 16- and
-24-point Gauss-Laguerre rules for that weight (40 points, one kernel call)
-and keeps GL24 when |GL24 - GL16| meets the quadrature tolerance.  Below
-that floor the reflection coefficients turn on the scale m*gamma near
-t = 0 and the two rules can agree on a wrong value, so those terms, and the
-few that miss the test, take 6 geometric G7/K15 panels on [m*gamma,
+quad_tol >= 1e-13 every term first takes one fixed rule.  A term with
+m*gamma >= 1.2 takes the 16- and 24-point Gauss-Laguerre rules for that
+weight (40 points, one kernel call) and keeps GL24 when |GL24 - GL16| meets
+the quadrature tolerance.  Below that floor the reflection coefficients
+turn on the scale m*gamma near t = 0 and the two rules can agree on a wrong
+value, so those terms take the exp-sinh rule t = exp((pi/2) sinh(tau)) at
+step 1/12 (70 points, one kernel call), whose doubly exponential crowding
+near t = 0 resolves that scale, and keep it when est**2/|I| meets the
+tolerance, est being its difference from the nested rule at step 1/6.  A
+term that misses its test takes 6 geometric G7/K15 panels on [m*gamma,
 m*gamma + 50] (the integrand has decayed by ~e^-100 at the top) with breaks
-m*gamma*(1 + 50/(m*gamma))**(k/6).  A term whose summed |K15 - G7| estimate
+m*gamma*(1 + 50/(m*gamma))**(k/6); a term whose summed |K15 - G7| estimate
 misses the tolerance bisects its worst panel, together with all such terms
-of its pass: at default settings the smallest m at low temperature (2 045
-of 23 472 terms at 100 nm and 1 K, which averages 54 kernel points per
-term).  The sum runs in ascending m with Kahan compensation and truncates
+of its pass.  At default settings no term of the standard sweep or of the
+1 K anchor cells misses, and the kernel averages 46 points per summed term
+at 100 nm and 1 K.  Below quad_tol 1e-13 every term takes the panels.
+The sum runs in ascending m with Kahan compensation and truncates
 once three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
 and the m at which that rule is expected to fire, so that large a*T leaves
@@ -128,9 +133,18 @@ _GL_T, _GL_W = (np.array(c)[:, None] / 2.0 for c in zip(*_GL16, *_GL24))
 # smallest m*gamma that tries the Gauss-Laguerre pass: below about 0.6 the
 # two rules can agree while both are wrong; see the README "Numerical notes"
 _GL_FLOOR = 1.2
-# smallest tolerance the pass is used at: the floor was validated at 1e-10 and
-# 1e-13, and at 1e-14 an accepted term just above it misses by 1.3 times
-_GL_MIN_TOL = 1e-13
+# the terms below the floor first take the exp-sinh rule of Takahasi and Mori
+# (Publ. RIMS 9, 721, 1974): t = y - m*gamma = exp((pi/2)*sinh(tau)) at
+# tau = k/12 in [-4, 1.75], 70 points, with weights (dt/dtau)/12.  The even
+# k come first: with twice their weights they alone are the rule at step 1/6
+_DE_TAU = [k / 12 for k in (*range(-48, 22, 2), *range(-47, 22, 2))]
+_DE_EVEN = len(_DE_TAU) // 2
+_DE_T = np.array([math.exp(math.pi / 2 * math.sinh(tau)) for tau in _DE_TAU])[:, None]
+_DE_W = np.array([math.pi / 2 * math.cosh(tau) * t / 12 for tau, t in zip(_DE_TAU, _DE_T[:, 0])])[:, None]
+# smallest tolerance the two fixed rules are used at: both were validated at
+# 1e-10 and 1e-13, and at 1e-14 a Gauss-Laguerre term just above the floor
+# misses by 1.3 times
+_FIXED_MIN_TOL = 1e-13
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
 #: most terms a cell may expect (:func:`expected_terms`) without an explicit
@@ -176,11 +190,6 @@ class ThermalState:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"temperature must be finite and > 0, got {self.T!r}")
-
-    @property
-    def beta(self) -> float:
-        """Inverse thermal energy 1/(k_B T) in 1/J."""
-        return 1.0 / (BOLTZMANN * self.T)
 
     def zeta(self, m) -> float:
         """Matsubara frequency 2 pi m k_B T / hbar in rad/s (m may be an array)."""
@@ -252,36 +261,53 @@ def _mode_parts(y, mg, d):
     return tm, te
 
 
+def _rule_sums(t, w, n, mg, d):
+    """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over its
+    first n nodes and over the rest, each of shape (2, terms)."""
+    u, v = _mode_parts(t + mg, mg, d)
+    # weighted values as (node, TM|TE, term): the node axis is never the
+    # contiguous one, so each reduce adds whole node rows in node order and
+    # a term's sums do not depend on how many terms there are
+    uv = np.empty((len(t), 2, mg.size))
+    np.multiply(u, w, out=uv[:, 0])
+    np.multiply(v, w, out=uv[:, 1])
+    return np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
+
+
 def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    At tol >= _GL_MIN_TOL, a term with mg >= _GL_FLOOR first takes GL16
-    and GL24 at y = mg + x/2 in one 40-point kernel call for all such terms;
-    it keeps GL24 when |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).
-    Every other term starts from _PANELS geometric G7/K15 panels on
-    [mg, mg + _Y_SPAN], all evaluated in one array pass, and is refined by
-    :func:`batched_pair_quadrature` until it meets the same test.  A term's
-    result depends only on its own inputs: the node sums are sequential
-    reductions over the nodes-first axis.  d holds eps - 1 of the plates,
-    shape (plates, terms): one row for identical plates, as in _mode_parts.
+    At tol >= _FIXED_MIN_TOL every term first takes one fixed rule, in one
+    kernel call for all terms of the batch that take it.  A term with
+    mg >= _GL_FLOOR takes GL16 and GL24 at y = mg + x/2 (40 points) and keeps
+    GL24 when |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).  A term below
+    the floor takes the exp-sinh rule (70 points) and keeps it when est**2/|I|
+    meets that test, est being its difference from the nested step-1/6 rule:
+    the rule's error roughly squares when the step halves.  Every other term
+    starts from _PANELS geometric G7/K15 panels on [mg, mg + _Y_SPAN], all
+    evaluated in one array pass, and is refined by
+    :func:`batched_pair_quadrature` until |K15 - G7| meets the first test.  A
+    term's result depends only on its own inputs: the node sums are
+    sequential reductions over the nodes-first axis.  d holds eps - 1 of the
+    plates, shape (plates, terms): one row for identical plates, as in
+    _mode_parts.
     """
     tm, te = np.empty_like(mg), np.empty_like(mg)
-    panel = mg < (_GL_FLOOR if tol >= _GL_MIN_TOL else math.inf)
-    rows = np.flatnonzero(~panel)
-    if rows.size:
-        lo = mg[rows]
-        u, v = _mode_parts(_GL_T + lo, lo, d[:, rows])
-        # weighted values as (node, TM|TE, term): the node axis is never the
-        # contiguous one, so each rule's reduce adds whole node rows in node
-        # order and a term's sum does not depend on how many terms there are
-        uv = np.empty((len(_GL_T), 2, rows.size))
-        np.multiply(u, _GL_W, out=uv[:, 0])
-        np.multiply(v, _GL_W, out=uv[:, 1])
-        n = len(_GL16)
-        gl16, (u24, v24) = np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
-        total = u24 + v24
-        panel[rows] = np.abs(total - (gl16[0] + gl16[1])) > np.maximum(tol, tol * np.abs(total))
-        tm[rows], te[rows] = u24, v24
+    panel = np.ones(mg.shape, dtype=bool)
+    if tol >= _FIXED_MIN_TOL:
+        rows = np.flatnonzero(mg >= _GL_FLOOR)
+        if rows.size:
+            gl16, (u, v) = _rule_sums(_GL_T, _GL_W, len(_GL16), mg[rows], d[:, rows])
+            total = u + v
+            panel[rows] = np.abs(total - (gl16[0] + gl16[1])) > np.maximum(tol, tol * np.abs(total))
+            tm[rows], te[rows] = u, v
+        rows = np.flatnonzero(mg < _GL_FLOOR)
+        if rows.size:
+            even, odd = _rule_sums(_DE_T, _DE_W, _DE_EVEN, mg[rows], d[:, rows])
+            (u, v), est = even + odd, (odd[0] + odd[1]) - (even[0] + even[1])
+            size = np.abs(u + v)
+            panel[rows] = est * est > np.maximum(tol, tol * size) * size
+            tm[rows], te[rows] = u, v
     rows = np.flatnonzero(panel)
     if rows.size:
         lo = mg[rows, None]
@@ -463,8 +489,10 @@ def casimir_pressure(
     the zero-frequency term (see :func:`zero_frequency_term`; its TE part
     uses ``opts.quad_tol``) and each term_m a batched quadrature (see the
     module notes): at ``quad_tol`` >= 1e-13 a term with m*gamma >= 1.2 first
-    takes the GL16/GL24 Gauss-Laguerre pass, and the others, with any term
-    whose two rules disagree, take G7/K15 panels with array-native refinement.
+    takes the GL16/GL24 Gauss-Laguerre pass and a term below that the nested
+    exp-sinh rule; a term whose rule misses its error test, and every term
+    at a tighter ``quad_tol``, takes G7/K15 panels with array-native
+    refinement.
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
 

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface via run(argv)."""
 
+import csv
 import shutil
 import subprocess
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_plates import scenarios
 from casimir_plates.cli import (
     RunConfig,
     parse_energy,
@@ -16,7 +18,7 @@ from casimir_plates.cli import (
     parse_temperature,
     run,
 )
-from casimir_plates.dispersion import material_preset
+from casimir_plates.dispersion import Material, load_permittivity_table, material_preset
 from casimir_plates.lifshitz import PlateSystem, ThermalState, casimir_pressure
 
 VALID_TABLE = b"zeta_rad_per_s,eps\n1e12,1e6\n1e14,1e3\n1e16,2.0\n"
@@ -326,6 +328,67 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("pair")
         assert "|F|_Pa" in out
+
+
+class TestCellsMatchTheLibrary:
+    """diff and sweep solve several gaps in shared kernel batches.  Each
+    pressure they compute is the library's casimir_pressure of that cell
+    alone, bit for bit, and each |F| they print equals it to the 12 printed
+    digits."""
+
+    @staticmethod
+    def _table(tmp_path):
+        # synthetic Drude plus one Lorentz oscillator on the imaginary axis,
+        # 1e14-1e19 rad/s, with no fallback: not measured data
+        ev = 1.519e15
+        zeta = np.geomspace(1e14, 1e19, 241)
+        eps = 1.0 + (9.0 * ev) ** 2 / (zeta * (zeta + 0.035 * ev)) + 4.0 * (4.0 * ev) ** 2 / (
+            (4.0 * ev) ** 2 + zeta**2 + 1.0 * ev * zeta
+        )
+        path = tmp_path / "synth.csv"
+        rows = "".join(f"{float(z)!r},{float(e)!r}\n" for z, e in zip(zeta, eps))
+        path.write_text("zeta_rad_per_s,eps\n" + rows)
+        return path
+
+    @pytest.mark.parametrize(
+        ("command", "gaps", "n_gaps"),
+        [("diff", "200nm,1um", 2), ("sweep", "500nm,1um", 2), ("sweep", "50nm:3um:log:30", 30)],
+    )
+    @pytest.mark.parametrize("pairs", ["T,T;T,Au", "Au,Au;Al,Cu"])
+    def test_every_pressure_is_the_single_cell_value(
+        self, tmp_path, capsys, monkeypatch, command, gaps, n_gaps, pairs
+    ):
+        path = self._table(tmp_path)
+        materials = {"T": Material("T", load_permittivity_table(str(path)))}
+        computed = {}
+        batched = scenarios.casimir_pressures
+
+        def recording(mat1, mat3, unit_gaps, thermal, opts):
+            results = batched(mat1, mat3, unit_gaps, thermal, opts)
+            for a, r in zip(unit_gaps, results):
+                computed[(mat1.name, mat3.name, a, thermal.T)] = r.pressure
+            return results
+
+        monkeypatch.setattr(scenarios, "casimir_pressures", recording)
+        printed = {}
+        for pair in pairs.split(";"):
+            flag = "--pair" if command == "diff" else "--pairs"
+            argv = [command, flag, pair, "--gaps", gaps, "--temps", "300,350", "--table", f"T={path}"]
+            assert run(argv + ["--format", "csv"]) == 0
+            out = capsys.readouterr().out
+            for row in csv.DictReader(ln for ln in out.splitlines() if not ln.startswith("#")):
+                cell = (row["material_1"], row["material_2"], float(row["gap_m"]))
+                if command == "diff":
+                    printed[cell + (300.0,)] = float(row["pressure_low_Pa"])
+                    printed[cell + (350.0,)] = float(row["pressure_high_Pa"])
+                else:
+                    printed[cell + (float(row["temperature_K"]),)] = float(row["pressure_Pa"])
+        assert len(printed) == len(computed) == 4 * n_gaps
+        for (m1, m3, gap, T), pressure in computed.items():
+            mat1, mat3 = (materials.get(m) or material_preset(m) for m in (m1, m3))
+            alone = casimir_pressure(PlateSystem(mat1, mat3, gap=gap), ThermalState(T)).pressure
+            assert pressure == alone, (m1, m3, gap, T)
+            assert printed[(m1, m3, float(f"{gap:.12e}"), T)] == float(f"{-alone:.12e}")
 
 
 class TestMaterials:
