@@ -15,7 +15,9 @@ evaluated in batches per gap of up to max(64, target/16) terms, at most
 4 096, where the target is the m at which the truncation rule below is
 expected to fire; a sum so evaluates at most one batch past its last
 summed term.  The batches of several gaps of one (plates, T) share numpy
-passes of up to 256 terms; a term's bits do not depend on its pass.  In
+passes of up to 256 terms; a term's bits do not depend on its pass.  A
+pass takes its temporaries from float64 buffers that each thread keeps
+between passes, instead of faulting in freshly zeroed pages every pass.  In
 t = y - m*gamma the integrand is e^(-2t) times a smooth function, so at
 quad_tol >= 1e-13 every term first takes one fixed rule.  A term with
 m*gamma >= 1.2 takes the 16- and 24-point Gauss-Laguerre rules for that
@@ -44,6 +46,7 @@ more than TERM_BUDGET (2e6) terms is refused before its first batch.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +81,9 @@ _PANELS = 6
 # per-term arrays stay bounded up to TERM_BUDGET
 _MAX_BATCH = 64
 _BATCH_CLAMP = 4096
-_MAX_ROWS = 256  # terms per kernel pass of a shared round: 23 040 points, <= 1.6 MB of temporaries
+# terms per kernel pass of a shared round: at most 256 x 70 = 17 920 exp-sinh
+# points (23 040 on the panel fallback)
+_MAX_ROWS = 256
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
 # Gauss-Laguerre rules for weight e^(-x) on [0, inf) (Abramowitz and Stegun
 # 25.4.45, table 25.9): nodes x_i and scaled weights w_i*exp(x_i), to double
@@ -205,6 +210,47 @@ class ThermalState:
         return 2.0 * math.pi * gap * BOLTZMANN * self.T / (HBAR * SPEED_OF_LIGHT)
 
 
+class _Spare(threading.local):
+    """This thread's spare arrays for the kernel's pass-sized temporaries: a
+    stack of views, each of its own float64 buffer.  Freed after every pass,
+    the buffers would go back to the OS and the next pass would fault them in
+    again, zeroed.  Each thread keeps its own stack, so that threads solving
+    at once (numpy releases the GIL inside its loops) do not interleave their
+    passes on one stack and trade buffers of other shapes."""
+
+    def __init__(self):
+        self.buffers = []
+
+
+_spare = _Spare()
+
+
+def _take(*shapes) -> list[np.ndarray]:
+    """One uninitialised float64 array per shape, owned by the caller.
+
+    Each is the spare array given back last if it has that shape, else a view
+    of its buffer if that is large enough, else a view of a fresh buffer
+    (and the spare is dropped), so a thread keeps no more buffers than it has
+    had in use at once.  A pass takes and gives in the order of the pass
+    before it, so each spare meets the same request again.
+    """
+    spare = _spare.buffers
+    arrays = []
+    for shape in shapes:
+        a = spare.pop() if spare else None
+        if a is None or a.shape != shape:
+            size = math.prod(shape)
+            buf = a.base if a is not None and a.base.size >= size else np.empty(size)
+            a = buf[:size].reshape(shape)
+        arrays.append(a)
+    return arrays
+
+
+def _give(*arrays: np.ndarray) -> None:
+    """Return arrays from :func:`_take`, to which the caller keeps no reference."""
+    _spare.buffers.extend(arrays)
+
+
 def _reflection_coefficients(p, p2, d):
     """TM and TE reflection coefficients of one plate, d = eps - 1, at p, p2 = p**2.
 
@@ -214,19 +260,22 @@ def _reflection_coefficients(p, p2, d):
         (s - p)/(s + p)         = d / (s + p)**2
 
     with s = sqrt(d + p**2), which stay accurate when eps -> 1 (the TE
-    numerator s - p would otherwise lose all digits).  Arrays only.
+    numerator s - p would otherwise lose all digits).  Arrays only; the
+    results come from :func:`_take`.
     """
-    s = np.add(d, p2)
+    s, q, tm = _take(p.shape, p.shape, p.shape)
+    np.add(d, p2, out=s)
     np.sqrt(s, out=s)
-    q = np.multiply(d + 1.0, p)
+    np.multiply(d + 1.0, p, out=q)
     q += s
     q *= q
-    tm = np.multiply(d + 2.0, p2)
+    np.multiply(d + 2.0, p2, out=tm)
     tm -= 1.0
     tm *= d
     tm /= q
     s += p
     s *= s
+    _give(q)
     return tm, np.divide(d, s, out=s)
 
 
@@ -234,19 +283,23 @@ def _mode_parts(y, mg, d):
     """Integrand (TM, TE) parts y**2 * r*e^(-2y) / (1 - r*e^(-2y)) at y.
 
     mg = m*gamma and d = eps-1 of the plates at zeta_m, one row per plate
-    (one row for equal plates), each row broadcast against y; r is the
+    (one row for equal plates), mg and each row broadcast against y; r is the
     product of the two plates' reflection coefficients at p = y/mg >= 1.
     Each product is formed as (plate 1 factor) * (plate 3 factor), so
     swapping the plates gives the same bits; with one row the factor is
     computed once and squared, which gives those bits too.  Arrays only:
-    it works in place on its own temporaries.
+    it works in place on temporaries from :func:`_take`, and the caller
+    owns the two arrays it returns.
     """
-    p = y / mg
-    p2 = p * p
+    p, p2 = _take(y.shape, y.shape)
+    np.divide(y, mg, out=p)
+    np.multiply(p, p, out=p2)
     tm, te = _reflection_coefficients(p, p2, d[0])
     tm3, te3 = (tm, te) if len(d) == 1 else _reflection_coefficients(p, p2, d[1])
     tm *= tm3
     te *= te3
+    if tm3 is not tm:
+        _give(tm3, te3)
     x = np.multiply(y, -2.0, out=p)
     np.exp(x, out=x)
     y2 = np.multiply(y, y, out=p2)
@@ -258,20 +311,24 @@ def _mode_parts(y, mg, d):
     np.subtract(1.0, te, out=den)
     te *= y2
     te /= den
+    _give(p, p2)
     return tm, te
 
 
 def _rule_sums(t, w, n, mg, d):
     """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over its
     first n nodes and over the rest, each of shape (2, terms)."""
-    u, v = _mode_parts(t + mg, mg, d)
     # weighted values as (node, TM|TE, term): the node axis is never the
     # contiguous one, so each reduce adds whole node rows in node order and
     # a term's sums do not depend on how many terms there are
-    uv = np.empty((len(t), 2, mg.size))
+    uv, y = _take((len(t), 2, mg.size), (len(t), mg.size))
+    np.add(t, mg, out=y)
+    u, v = _mode_parts(y, mg, d)
     np.multiply(u, w, out=uv[:, 0])
     np.multiply(v, w, out=uv[:, 1])
-    return np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
+    sums = np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
+    _give(y, u, v, uv)
+    return sums
 
 
 def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

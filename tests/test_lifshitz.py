@@ -2,6 +2,9 @@
 
 import math
 import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -996,6 +999,88 @@ class TestBatchGrowth:
         casimir_pressure(PlateSystem(au, au, gap=gap), th)
         assert grown == rounds
         assert max(grown) <= 64
+
+
+class TestKernelBuffers:
+    """The kernel's temporaries are reused between passes, one set per
+    thread; what it returns is never one of them."""
+
+    def test_concurrent_solves_give_the_sequential_bits(self, au, cu):
+        """Four threads (two per cell, more than there are cores) solve two
+        different cells at once and get the bits of solving them alone."""
+        cells = [
+            (PlateSystem(au, cu, gap=2e-7), ThermalState(1.0)),
+            (PlateSystem(au, au, gap=1e-7), ThermalState(300.0)),
+        ]
+        alone = [casimir_pressure(*cell) for cell in cells]
+        rounds = 3
+        start = threading.Barrier(2 * len(cells))
+        together = [[] for _ in range(2 * len(cells))]
+
+        def solve(k):
+            start.wait(timeout=60)
+            together[k].extend(casimir_pressure(*cells[k % len(cells)]) for _ in range(rounds))
+
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(together))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, results in enumerate(together):
+            a = alone[k % len(cells)]
+            assert len(results) == rounds
+            for r in results:
+                assert r.pressure == a.pressure
+                assert r.m_used == a.m_used
+                assert np.array_equal(r.tm_terms, a.tm_terms)
+                assert np.array_equal(r.te_terms, a.te_terms)
+
+    @pytest.mark.parametrize("plates", [1, 2])
+    def test_held_results_share_no_memory(self, au, cu, plates):
+        mg, d = _term_inputs(au, au if plates == 1 else cu, 1e-7, 1.0, np.arange(1, 65))
+        y = mg + np.geomspace(1e-3, 50.0, 70)[:, None]
+        p = y / mg
+        held = [
+            *_mode_parts(y, mg, d),
+            *_mode_parts(y + 1.0, mg, d),
+            *_batch_parts(mg, d, 1e-10),
+            *_batch_parts(mg * 2.0, d, 1e-10),
+            *_reflection_coefficients(p, p * p, d[0]),
+            *_reflection_coefficients(p, p * p, d[-1]),
+        ]
+        for i, a in enumerate(held):
+            for b in held[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("plates", [1, 2])
+    def test_a_warm_pass_allocates_under_three_pass_arrays(self, au, cu, monkeypatch, plates):
+        """A 256-row exp-sinh pass holds 256 x 70 points.  Once the thread's
+        buffers have grown to it, a pass allocates none of its temporaries
+        afresh; what remains is about one array's worth of numpy's own
+        iterator buffers.  With fresh temporaries a pass allocated 6.6 such
+        arrays for one plate and 8.6 for two."""
+        mg, d = _term_inputs(au, au if plates == 1 else cu, 1e-7, 1.0, np.arange(1, 257))
+        assert mg.max() < lifshitz._GL_FLOOR
+
+        def no_panels(*args):
+            raise AssertionError("a term took the panel path")
+
+        monkeypatch.setattr(lifshitz, "batched_pair_quadrature", no_panels)
+        _batch_parts(mg, d, 1e-10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _batch_parts(mg, d, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * 256 * 70 * 8
 
 
 class TestIdealMetal:
