@@ -12,20 +12,22 @@ vacuum.
 
 Numerical scheme: each term integrates over y >= m*gamma.  Terms are
 evaluated in batches per gap of up to max(64, target/16) terms, at most
-4 096, where the target is the m at which the truncation rule below is
-expected to fire; a sum so evaluates at most one batch past its last
-summed term.  The batches of several gaps of one (plates, T) share numpy
-passes of up to 256 terms; a term's bits do not depend on its pass.  A
-pass takes its temporaries from float64 buffers that each thread keeps
-between passes, instead of faulting in freshly zeroed pages every pass.  In
-t = y - m*gamma the integrand is e^(-2t) times a smooth function, so at
-quad_tol >= 1e-13 every term first takes one fixed rule.  A term with
-m*gamma >= 1.2 takes the 16- and 24-point Gauss-Laguerre rules for that
-weight (40 points, one kernel call) and keeps GL24 when |GL24 - GL16| meets
-the quadrature tolerance.  Below that floor the reflection coefficients
-turn on the scale m*gamma near t = 0 and the two rules can agree on a wrong
-value, so those terms take the exp-sinh rule t = exp((pi/2) sinh(tau)) at
-step 1/12 (70 points, one kernel call), whose doubly exponential crowding
+4 096, where the target is an upper estimate of the m at which the
+truncation rule below fires; a sum so evaluates at most one batch past its
+last summed term.  The batches of several gaps of one (plates, T) form one
+round; each rule takes the round's terms in numpy passes of up to 256
+terms, and a term's bits do not depend on its pass.  A pass takes its
+temporaries from float64 buffers that each thread keeps between passes,
+instead of faulting in freshly zeroed pages every pass.  In t = y -
+m*gamma the integrand is e^(-2t) times a smooth function, so at quad_tol
+>= 1e-13 every term first takes one fixed rule.  A term with m*gamma >=
+1.2 takes the 24-point Gauss-Laguerre rule for that weight (24 points)
+and keeps GL24 when |GL24 - E17| meets the quadrature tolerance, E17
+being the interpolatory rule on GL24's first 17 nodes: the error estimate
+costs no extra point.  Below that floor the reflection coefficients turn
+on the scale m*gamma near t = 0 and a rule and its estimate can agree on
+a wrong value, so those terms take the exp-sinh rule t = exp((pi/2)
+sinh(tau)) at step 1/12 (70 points), whose doubly exponential crowding
 near t = 0 resolves that scale, and keep it when est**2/|I| meets the
 tolerance, est being its difference from the nested rule at step 1/6.  A
 term that misses its test takes 6 geometric G7/K15 panels on [m*gamma,
@@ -33,14 +35,14 @@ m*gamma + 50] (the integrand has decayed by ~e^-100 at the top) with breaks
 m*gamma*(1 + 50/(m*gamma))**(k/6); a term whose summed |K15 - G7| estimate
 misses the tolerance bisects its worst panel, together with all such terms
 of its pass.  At default settings no term of the standard sweep or of the
-1 K anchor cells misses, and the kernel averages 46 points per summed term
-at 100 nm and 1 K.  Below quad_tol 1e-13 every term takes the panels.
+1 K anchor cells misses, and the kernel averages 32.7 points per summed
+term at 100 nm and 1 K.  Below quad_tol 1e-13 every term takes the panels.
 The sum runs in ascending m with Kahan compensation and truncates
 once three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
-and the m at which that rule is expected to fire, so that large a*T leaves
-room for the three terms.  Without an explicit m_max, a cell that expects
-more than TERM_BUDGET (2e6) terms is refused before its first batch.
+and the target, so that large a*T leaves room for the three terms.  Without
+an explicit m_max, a cell that expects more than TERM_BUDGET (2e6) terms is
+refused before its first batch.
 """
 
 from __future__ import annotations
@@ -85,27 +87,9 @@ _BATCH_CLAMP = 4096
 # points (23 040 on the panel fallback)
 _MAX_ROWS = 256
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
-# Gauss-Laguerre rules for weight e^(-x) on [0, inf) (Abramowitz and Stegun
-# 25.4.45, table 25.9): nodes x_i and scaled weights w_i*exp(x_i), to double
-# precision from 60-digit roots of L_16 and L_24
-_GL16 = (
-    (0.08764941047892784, 0.22503631486424724),
-    (0.46269632891508083, 0.5258360527623425),
-    (1.141057774831227, 0.831961391687087),
-    (2.1292836450983805, 1.1460992409637516),
-    (3.4370866338932067, 1.4717513169668086),
-    (5.078018614549768, 1.813134687381348),
-    (7.070338535048234, 2.1755175196946075),
-    (9.438314336391938, 2.565762750165029),
-    (12.21422336886616, 2.993215086371375),
-    (15.441527368781617, 3.4712344831020903),
-    (19.180156856753136, 4.020044086444669),
-    (23.515905693991908, 4.672516607732854),
-    (28.57872974288214, 5.487420657986153),
-    (34.58339870228662, 6.5853612332892135),
-    (41.94045264768833, 8.276357984364234),
-    (51.70116033954332, 11.824277551658435),
-)
+# 24-point Gauss-Laguerre rule for weight e^(-x) on [0, inf) (Abramowitz and
+# Stegun 25.4.45, table 25.9): nodes x_i and scaled weights w_i*exp(x_i), to
+# double precision from 60-digit roots of L_24
 _GL24 = (
     (0.05901985218150798, 0.15149441285950946),
     (0.31123914619848375, 0.35325658252992387),
@@ -132,11 +116,38 @@ _GL24 = (
     (69.96224003510503, 9.902793319484225),
     (81.49827923394889, 13.820532094792005),
 )
+# scaled weights e_i*exp(x_i) of E17, the interpolatory rule on GL24's first
+# 17 nodes: they integrate x**j e^(-x) exactly for j = 0..16 and are all
+# positive (a 60-digit moment solve).  |GL24 - E17| estimates GL24's error at
+# no extra point: an embedded rule, since Gauss-Laguerre has no Kronrod
+# extension with positive weights
+_E17 = (
+    0.1514950277600714,
+    0.3532542023252991,
+    0.5567901641565136,
+    0.7626737537702191,
+    0.9718958096940729,
+    1.1853108338610934,
+    1.4043645771860012,
+    1.629650369547487,
+    1.8641439985438673,
+    2.106030313768705,
+    2.36623189353643,
+    2.623668349139723,
+    2.9485824356385177,
+    3.1430446876025386,
+    3.8480616223737623,
+    3.036413382101123,
+    6.941417234567079,
+)
 # both rules as one nodes-first column of points t = y - m*gamma = x/2 and
-# weights w*exp(x)/2, which absorb the integrand's e^(-2t)
-_GL_T, _GL_W = (np.array(c)[:, None] / 2.0 for c in zip(*_GL16, *_GL24))
-# smallest m*gamma that tries the Gauss-Laguerre pass: below about 0.6 the
-# two rules can agree while both are wrong; see the README "Numerical notes"
+# weights w*exp(x)/2, which absorb the integrand's e^(-2t): GL24's 24 rows,
+# then E17's 17 rows on the first 17 of the same points
+_GL_T = np.array([x for x, _ in _GL24])[:, None] / 2.0
+_GL_W = np.array([*(w for _, w in _GL24), *_E17])[:, None] / 2.0
+# smallest m*gamma that tries the Gauss-Laguerre pass: below it the reflection
+# coefficients turn on the scale m*gamma near t = 0, where a rule and its
+# estimate can agree while both are wrong; see the README "Numerical notes"
 _GL_FLOOR = 1.2
 # the terms below the floor first take the exp-sinh rule of Takahasi and Mori
 # (Publ. RIMS 9, 721, 1974): t = y - m*gamma = exp((pi/2)*sinh(tau)) at
@@ -147,8 +158,7 @@ _DE_EVEN = len(_DE_TAU) // 2
 _DE_T = np.array([math.exp(math.pi / 2 * math.sinh(tau)) for tau in _DE_TAU])[:, None]
 _DE_W = np.array([math.pi / 2 * math.cosh(tau) * t / 12 for tau, t in zip(_DE_TAU, _DE_T[:, 0])])[:, None]
 # smallest tolerance the two fixed rules are used at: both were validated at
-# 1e-10 and 1e-13, and at 1e-14 a Gauss-Laguerre term just above the floor
-# misses by 1.3 times
+# 1e-10 and 1e-13 only
 _FIXED_MIN_TOL = 1e-13
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
@@ -316,37 +326,47 @@ def _mode_parts(y, mg, d):
 
 
 def _rule_sums(t, w, n, mg, d):
-    """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over its
-    first n nodes and over the rest, each of shape (2, terms)."""
-    # weighted values as (node, TM|TE, term): the node axis is never the
-    # contiguous one, so each reduce adds whole node rows in node order and
-    # a term's sums do not depend on how many terms there are
-    uv, y = _take((len(t), 2, mg.size), (len(t), mg.size))
-    np.add(t, mg, out=y)
-    u, v = _mode_parts(y, mg, d)
-    np.multiply(u, w, out=uv[:, 0])
-    np.multiply(v, w, out=uv[:, 1])
-    sums = np.add.reduce(uv[:n], axis=0), np.add.reduce(uv[n:], axis=0)
-    _give(y, u, v, uv)
+    """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over the
+    first n rows of w and over the rest, shape (2, 2, terms), in kernel passes
+    of at most _MAX_ROWS terms.  Rows of w past the last node weight the
+    first nodes again: an embedded rule on the same points."""
+    # weighted values as (row, TM|TE, term): the row axis is never the
+    # contiguous one, so each reduce adds whole rows in row order and a term's
+    # sums do not depend on how many terms its pass holds
+    sums = np.empty((2, 2, mg.size))
+    nodes = len(t)
+    for k in range(0, mg.size, _MAX_ROWS):
+        rows = slice(k, k + _MAX_ROWS)
+        part = mg[rows]
+        uv, y = _take((len(w), 2, part.size), (nodes, part.size))
+        np.add(t, part, out=y)
+        u, v = _mode_parts(y, part, d[:, rows])
+        for j, f in enumerate((u, v)):
+            np.multiply(f, w[:nodes], out=uv[:nodes, j])
+            np.multiply(f[: len(w) - nodes], w[nodes:], out=uv[nodes:, j])
+        sums[0, :, rows] = np.add.reduce(uv[:n], axis=0)
+        sums[1, :, rows] = np.add.reduce(uv[n:], axis=0)
+        _give(y, u, v, uv)
     return sums
 
 
 def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    At tol >= _FIXED_MIN_TOL every term first takes one fixed rule, in one
-    kernel call for all terms of the batch that take it.  A term with
-    mg >= _GL_FLOOR takes GL16 and GL24 at y = mg + x/2 (40 points) and keeps
-    GL24 when |GL24 - GL16| of TM + TE meets max(tol, tol*|I|).  A term below
-    the floor takes the exp-sinh rule (70 points) and keeps it when est**2/|I|
-    meets that test, est being its difference from the nested step-1/6 rule:
-    the rule's error roughly squares when the step halves.  Every other term
-    starts from _PANELS geometric G7/K15 panels on [mg, mg + _Y_SPAN], all
-    evaluated in one array pass, and is refined by
-    :func:`batched_pair_quadrature` until |K15 - G7| meets the first test.  A
-    term's result depends only on its own inputs: the node sums are
-    sequential reductions over the nodes-first axis.  d holds eps - 1 of the
-    plates, shape (plates, terms): one row for identical plates, as in
+    At tol >= _FIXED_MIN_TOL every term first takes one fixed rule, the terms
+    of each rule gathered once and run in kernel passes of at most _MAX_ROWS
+    terms.  A term with mg >= _GL_FLOOR takes GL24 at y = mg + x/2 (24
+    points) and keeps it when |GL24 - E17| of TM + TE meets max(tol,
+    tol*|I|), E17 being the embedded rule on GL24's first 17 nodes.  A term
+    below the floor takes the exp-sinh rule (70 points) and keeps it when
+    est**2/|I| meets that test, est being its difference from the nested
+    step-1/6 rule: the rule's error roughly squares when the step halves.
+    Every other term starts from _PANELS geometric G7/K15 panels on [mg, mg +
+    _Y_SPAN], evaluated in array passes of at most _MAX_ROWS terms, and is
+    refined by :func:`batched_pair_quadrature` until |K15 - G7| meets the
+    first test.  A term's result depends only on its own inputs: the node
+    sums are sequential reductions over the nodes-first axis.  d holds eps - 1
+    of the plates, shape (plates, terms): one row for identical plates, as in
     _mode_parts.
     """
     tm, te = np.empty_like(mg), np.empty_like(mg)
@@ -354,9 +374,9 @@ def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray,
     if tol >= _FIXED_MIN_TOL:
         rows = np.flatnonzero(mg >= _GL_FLOOR)
         if rows.size:
-            gl16, (u, v) = _rule_sums(_GL_T, _GL_W, len(_GL16), mg[rows], d[:, rows])
+            (u, v), e17 = _rule_sums(_GL_T, _GL_W, len(_GL24), mg[rows], d[:, rows])
             total = u + v
-            panel[rows] = np.abs(total - (gl16[0] + gl16[1])) > np.maximum(tol, tol * np.abs(total))
+            panel[rows] = np.abs(total - (e17[0] + e17[1])) > np.maximum(tol, tol * np.abs(total))
             tm[rows], te[rows] = u, v
         rows = np.flatnonzero(mg < _GL_FLOOR)
         if rows.size:
@@ -365,8 +385,9 @@ def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray,
             size = np.abs(u + v)
             panel[rows] = est * est > np.maximum(tol, tol * size) * size
             tm[rows], te[rows] = u, v
-    rows = np.flatnonzero(panel)
-    if rows.size:
+    missed = np.flatnonzero(panel)
+    for k in range(0, missed.size, _MAX_ROWS):
+        rows = missed[k : k + _MAX_ROWS]
         lo = mg[rows, None]
         breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
         breaks[:, 0] = lo[:, 0]
@@ -522,8 +543,8 @@ class PressureResult:
     @property
     def tm_share(self) -> float:
         """Fraction of |pressure| carried by the TM mode (m = 0 included)."""
-        total = float(np.sum(self.tm_terms) + np.sum(self.te_terms))
-        return float(np.sum(self.tm_terms)) / total
+        tm = float(np.sum(self.tm_terms))
+        return tm / (tm + float(np.sum(self.te_terms)))
 
     @property
     def te_share(self) -> float:
@@ -531,7 +552,12 @@ class PressureResult:
 
 
 def expected_terms(gap: float, thermal: ThermalState, opts: SolverOptions = DEFAULT_OPTIONS) -> int:
-    """The m where the truncation rule should fire: ceil(ln(1/sum_rel_tol) / (2 gamma)) + 7."""
+    """Upper estimate of the m where the truncation rule fires, which sizes a
+    gap's batches, its ceiling on m and the TERM_BUDGET check:
+    ceil(ln(1/sum_rel_tol) / (2 gamma)) + 7.  It counts only the e^(-2 m
+    gamma) decay; where the plates turn transparent (eps -> 1) the terms fall
+    faster, so a long 1 K sum stops as early as about half of it (Au-Au at
+    50 nm and 1 K expects 75 533 and sums 38 458)."""
     return math.ceil(math.log(1.0 / opts.sum_rel_tol) / (2.0 * thermal.gamma(gap))) + SUM_CONSECUTIVE + 4
 
 
@@ -546,9 +572,9 @@ def casimir_pressure(
     the zero-frequency term (see :func:`zero_frequency_term`; its TE part
     uses ``opts.quad_tol``) and each term_m a batched quadrature (see the
     module notes): at ``quad_tol`` >= 1e-13 a term with m*gamma >= 1.2 first
-    takes the GL16/GL24 Gauss-Laguerre pass and a term below that the nested
-    exp-sinh rule; a term whose rule misses its error test, and every term
-    at a tighter ``quad_tol``, takes G7/K15 panels with array-native
+    takes GL24 with its embedded E17 error estimate and a term below that the
+    nested exp-sinh rule; a term whose rule misses its error test, and every
+    term at a tighter ``quad_tol``, takes G7/K15 panels with array-native
     refinement.
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
@@ -568,14 +594,15 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     a = system.gap
     gamma = thermal.gamma(a)
     prefactor = BOLTZMANN * thermal.T / (math.pi * a**3)
-    # batches run up to the m where the truncation rule is expected to fire, then
-    # start small and double: short room-temperature sums compute few unused terms.
+    # batches run up to the target (an upper estimate of where the truncation
+    # rule fires), then start small and double: short room-temperature sums
+    # compute few unused terms.
     # A long sum's batches grow with it, so it runs in about 16 rounds and
     # computes at most about 1/16 of its target past the last term it sums
     extra = SUM_CONSECUTIVE + 4
     target = expected_terms(a, thermal, opts)
     cap = min(max(_MAX_BATCH, target // 16), _BATCH_CLAMP)
-    # the default ceiling never stops the sum before the rule is expected to fire
+    # the default ceiling never stops the sum before the target
     ceiling = math.ceil(10.0 * HBAR * SPEED_OF_LIGHT / (2.0 * a * BOLTZMANN * thermal.T))
     m_ceiling = opts.m_max or max(ceiling, target)
     if opts.m_max is None and target > TERM_BUDGET:
@@ -641,16 +668,13 @@ def casimir_pressures(
     """:func:`casimir_pressure` of the plates at each of ``gaps``, in order, with
     the same bits: each gap keeps its own batches, ceiling and Kahan sum, and
     each round the next batches of all unfinished gaps share one eps evaluation
-    and kernel passes of at most _MAX_ROWS terms.  The first error met is raised."""
+    and one :func:`_batch_parts` call.  The first error met is raised."""
     sums = [_matsubara_sum(PlateSystem(mat1, mat3, gap=a), thermal, opts) for a in gaps]
     batches = {i: next(s) for i, s in enumerate(sums)}
     while batches:
         ms, mg = (np.concatenate(x) for x in zip(*batches.values()))
         d = _eps_minus_one(mat1, mat3, ms, thermal.zeta(ms))
-        tm, te = np.empty_like(mg), np.empty_like(mg)
-        for k in range(0, len(ms), _MAX_ROWS):
-            rows = slice(k, k + _MAX_ROWS)
-            tm[rows], te[rows] = _batch_parts(mg[rows], d[:, rows], opts.quad_tol)
+        tm, te = _batch_parts(mg, d, opts.quad_tol)
         start = 0
         for i, (m, _) in list(batches.items()):
             stop = start + len(m)

@@ -634,10 +634,10 @@ class TestBatchedKernel:
         assert len(refined) <= 0.1 * r.m_used
 
     def test_kernel_points_per_term(self, au, monkeypatch):
-        """Terms with m*gamma >= 1.2 meet the tolerance on their 40
+        """Terms with m*gamma >= 1.2 meet the tolerance on their 24
         Gauss-Laguerre points and the others on their 70 exp-sinh points;
         a term that misses would take 90 panel points and might refine:
-        under 50 kernel points per summed term at 100 nm / 1 K (45.8)."""
+        under 35 kernel points per summed term at 100 nm / 1 K (32.7)."""
         points = [0]
         kernel_parts = lifshitz._mode_parts
 
@@ -647,7 +647,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(lifshitz, "_mode_parts", counting)
         r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
-        assert points[0] < 50 * r.m_used
+        assert points[0] < 35 * r.m_used
 
     def test_matches_single_term_evaluation(self, au):
         system = PlateSystem(au, au, gap=1e-6)
@@ -691,8 +691,8 @@ def _panel_reference(monkeypatch, mg, d, tol=1e-15):
 
 
 # gaps of the standard sweep (60 from 50 nm to 3 um) and of a 12-gap 1 K
-# scan; at 81.27 nm, Al-Cu at 350 K has m = 5 at m*gamma = 0.39, where GL16
-# and GL24 agree to 1e-10 and are both wrong
+# scan; at 81.27 nm, Al-Cu at 350 K has m = 5 at m*gamma = 0.39, where GL24
+# is 19 times the tolerance 1e-10 off
 _SWEEP_GAPS = gap_grid(5e-8, 3e-6, "log", 60)
 _SCAN_GAPS = gap_grid(5e-8, 3e-6, "log", 12)
 _AL_CU_GAP = _SWEEP_GAPS[7]
@@ -702,21 +702,35 @@ class TestGaussLaguerrePass:
     def test_constants_match_laggauss(self):
         from numpy.polynomial.laguerre import laggauss
 
-        for rule in (lifshitz._GL16, lifshitz._GL24):
-            x, w = laggauss(len(rule))
-            baked = np.array(rule)
-            np.testing.assert_allclose(baked[:, 0], x, rtol=1e-14, atol=0.0)
-            # laggauss's weights carry up to about 2e-13 relative error
-            np.testing.assert_allclose(baked[:, 1], w * np.exp(x), rtol=1e-12, atol=0.0)
-        both = np.array(lifshitz._GL16 + lifshitz._GL24)
-        assert np.array_equal(lifshitz._GL_T[:, 0], both[:, 0] / 2.0)
-        assert np.array_equal(lifshitz._GL_W[:, 0], both[:, 1] / 2.0)
+        x, w = laggauss(24)
+        baked = np.array(lifshitz._GL24)
+        np.testing.assert_allclose(baked[:, 0], x, rtol=1e-14, atol=0.0)
+        # laggauss's weights carry up to about 2e-13 relative error
+        np.testing.assert_allclose(baked[:, 1], w * np.exp(x), rtol=1e-12, atol=0.0)
+        assert np.array_equal(lifshitz._GL_T[:, 0], baked[:, 0] / 2.0)
+        assert np.array_equal(lifshitz._GL_W[:24, 0], baked[:, 1] / 2.0)
+
+    def test_embedded_weights_match_a_60_digit_moment_solve(self):
+        """E17's weights integrate x**j e^(-x) exactly for j = 0..16 on the
+        first 17 nodes of GL24, recomputed from 60-digit roots of L_24."""
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array(lifshitz._GL24)[:17, 0]
+        with mpmath.workdps(60):
+            roots = [mpmath.findroot(lambda z: mpmath.laguerre(24, 0, z), mpmath.mpf(r)) for r in x]
+            moments = mpmath.matrix([[r**j for r in roots] for j in range(17)])
+            e = mpmath.lu_solve(moments, mpmath.matrix([mpmath.factorial(j) for j in range(17)]))
+            scaled = [float(e[i] * mpmath.exp(r)) for i, r in enumerate(roots)]
+            assert min(e) > 0
+        assert [float(r) for r in roots] == x.tolist()
+        np.testing.assert_allclose(lifshitz._E17, scaled, rtol=1e-15, atol=0.0)
+        assert np.array_equal(lifshitz._GL_W[24:, 0], np.array(lifshitz._E17) / 2.0)
+        assert len(lifshitz._GL_W) == 41 and len(lifshitz._GL_T) == 24
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_accepted_terms_meet_the_tolerance(self, au, cu, al, monkeypatch, panel_rows, tol):
         plasma = Material("pl", PlasmaParams(au.model.omega_p))
         # cells of a wider scan (8 pairs; 1, 300 and 350 K; 50 nm-3 um) where
-        # GL16 and GL24 agree on a wrong value below the floor: at m*gamma
+        # GL16 and GL24 agreed on a wrong value below the floor: at m*gamma
         # 0.39 and 0.51 (1e-10), 0.63, 0.88 and 0.98 (1e-13), and where the worst
         # accepted term sits, just above the floor
         cells = [
@@ -750,12 +764,17 @@ class TestGaussLaguerrePass:
         tm, te = _batch_parts(mg, d, 1e-10)
         assert not panel_rows
         assert abs(tm[0] + te[0] - ref) <= bound
-        # without the floor the two rules agree on a value 19 times the tolerance off
+        # GL24 is 19 times the tolerance off here; without the floor, E17
+        # sees it (|GL24 - E17| is 1.3 times the tolerance) and the term
+        # takes the panels
+        (u, v), (a, b) = lifshitz._rule_sums(lifshitz._GL_T, lifshitz._GL_W, 24, mg, d)
+        assert abs(u[0] + v[0] - ref) > 10 * bound
+        assert abs((u[0] + v[0]) - (a[0] + b[0])) > bound
         monkeypatch.setattr(lifshitz, "_GL_FLOOR", 0.0)
         panel_rows.clear()
         tm, te = _batch_parts(mg, d, 1e-10)
-        assert not panel_rows
-        assert abs(tm[0] + te[0] - ref) > 10 * bound
+        assert panel_rows == set(mg.tolist())
+        assert abs(tm[0] + te[0] - ref) <= bound
 
     def test_a_term_keeps_its_bits_in_any_batch(self, al, cu, panel_rows):
         # four exp-sinh and four Gauss-Laguerre terms; at 1e-13 the two just
@@ -783,12 +802,16 @@ class TestGaussLaguerrePass:
         tm, te = _batch_parts(mg, d, 1e-14)
         assert panel_rows == set(mg.tolist())
         assert np.all(np.abs(tm + te - ref) <= bound)  # 0.0028 of it
-        # the Gauss-Laguerre pass at 1e-14 accepts a term 1.3 times the tolerance off
+        # GL24 is up to 2 times the tolerance off on these terms at 1e-14;
+        # with the fixed rules allowed there, E17 sends every one of them to
+        # the panels, which meet the tolerance
+        (u, v), _ = lifshitz._rule_sums(lifshitz._GL_T, lifshitz._GL_W, 24, mg, d)
+        assert np.max(np.abs(u + v - ref) / bound) > 1.5
         monkeypatch.setattr(lifshitz, "_FIXED_MIN_TOL", 0.0)
         panel_rows.clear()
         tm, te = _batch_parts(mg, d, 1e-14)
-        assert len(panel_rows) < len(mg)
-        assert np.max(np.abs(tm + te - ref) / bound) > 1.2
+        assert panel_rows == set(mg.tolist())
+        assert np.all(np.abs(tm + te - ref) <= bound)
 
 
 class TestExpSinhRule:
@@ -883,26 +906,32 @@ class TestTermBudget:
         with pytest.raises(self.Reached):
             casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(0.01), SolverOptions(m_max=1000))
 
-    def test_a_round_near_the_budget_stays_bounded(self, au, stub_kernel, monkeypatch):
+    def test_a_round_near_the_budget_stays_bounded(self, au, monkeypatch):
+        """eps is evaluated once per 4 096-term round, and every kernel call
+        holds at most 256 terms.  The kernel stub makes every term zero, so
+        the sum ends after its first round."""
         th = ThermalState(0.01)
         assert TERM_BUDGET / 2 < expected_terms(2e-7, th) < TERM_BUDGET
         terms, rows = [], []
-        eps_minus_one, batch_parts = lifshitz._eps_minus_one, lifshitz._batch_parts
+        eps_minus_one = lifshitz._eps_minus_one
 
         def counting_eps(mat1, mat3, m, zeta):
             terms.append(len(m))
             return eps_minus_one(mat1, mat3, m, zeta)
 
-        def counting_batch(mg, d, tol):
-            rows.append(len(mg))
-            return batch_parts(mg, d, tol)
+        def zero_kernel(y, mg, d):  # its results come from _take, like the kernel's
+            rows.append(y.shape[-1])
+            tm, te = lifshitz._take(y.shape, y.shape)
+            tm.fill(0.0)
+            te.fill(0.0)
+            return tm, te
 
         monkeypatch.setattr(lifshitz, "_eps_minus_one", counting_eps)
-        monkeypatch.setattr(lifshitz, "_batch_parts", counting_batch)
-        with pytest.raises(self.Reached):
-            casimir_pressure(PlateSystem(au, au, gap=2e-7), th)
+        monkeypatch.setattr(lifshitz, "_mode_parts", zero_kernel)
+        r = casimir_pressure(PlateSystem(au, au, gap=2e-7), th)
+        assert r.m_used == 3
         assert terms == [lifshitz._BATCH_CLAMP] == [4096]
-        assert rows == [lifshitz._MAX_ROWS] == [256]
+        assert rows == [lifshitz._MAX_ROWS] * 16 == [256] * 16
 
 
 class TestCasimirPressures:
