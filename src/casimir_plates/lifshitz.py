@@ -432,9 +432,9 @@ def matsubara_term(
 ) -> float:
     """Dimensionless integral of Matsubara term m >= 1 (TM plus TE).
 
-    Integrates over y in [m*gamma, m*gamma + 50] to absolute-or-relative
-    tolerance ``tol``, with the kernel :func:`casimir_pressure` uses for
-    each term.
+    Integrates over y >= m*gamma to absolute-or-relative tolerance ``tol``,
+    with the rules and kernel :func:`casimir_pressure` uses for each term;
+    the module notes give each rule's range of y.
 
     Raises
     ------
@@ -505,8 +505,10 @@ class SolverOptions:
             raise ValueError(f"quad_tol must be in (0, 1), got {self.quad_tol!r}")
         if not 0.0 < self.sum_rel_tol < 1.0:
             raise ValueError(f"sum_rel_tol must be in (0, 1), got {self.sum_rel_tol!r}")
-        if self.m_max is not None and self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max!r}")
+        if self.m_max is not None:
+            if isinstance(self.m_max, bool) or not isinstance(self.m_max, (int, np.integer)) or self.m_max < 1:
+                raise ValueError(f"m_max must be an integer >= 1, got {self.m_max!r}")
+            object.__setattr__(self, "m_max", int(self.m_max))
 
 
 DEFAULT_OPTIONS = SolverOptions()

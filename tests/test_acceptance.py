@@ -30,11 +30,11 @@ from casimir_plates.lifshitz import (
     matsubara_term,
     zero_frequency_term,
 )
-from casimir_plates.quadrature import adaptive_pair_quadrature
 from casimir_plates.scenarios import (
     relative_correction_curve,
     temperature_difference,
 )
+from quadrature_oracle import adaptive_pair_quadrature
 
 # verdict lines keyed by (criterion, variant) so that variants sort together
 CRITERION_LINES: dict[tuple[int, str], str] = {}

@@ -1,4 +1,4 @@
-"""Import hygiene: no private names across modules, and a lean CLI import."""
+"""Import hygiene: no private names across modules, no dead imports, and a lean CLI import."""
 
 import ast
 import os
@@ -22,6 +22,23 @@ def test_no_private_names_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert not offences, offences
+
+
+def test_only_the_tracer_targets_are_imported_unused():
+    """perfbench's tracer wraps these two names in the modules that import
+    them; no other name may be imported and never used (``__init__``
+    imports to re-export)."""
+    unused = []
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == ["lifshitz.adaptive_pair_quadrature", "scenarios.casimir_pressure"]
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

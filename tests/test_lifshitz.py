@@ -32,10 +32,11 @@ from casimir_plates.lifshitz import (
     matsubara_term,
     zero_frequency_term,
 )
-from casimir_plates.quadrature import QuadratureError, adaptive_pair_quadrature
+from casimir_plates.quadrature import QuadratureError
 from casimir_plates.scenarios import gap_grid
 from casimir_plates.special import ZETA3
 from conftest import make_table_material
+from quadrature_oracle import adaptive_pair_quadrature
 
 # frozen reference values, all from 25 to 40 digit arbitrary-precision evaluations
 REFL_TM_232 = 0.11885878661717955  # eps1=2, eps3=3, p=2
@@ -350,6 +351,9 @@ class TestSolverOptions:
             {"sum_rel_tol": 1.0},
             {"sum_rel_tol": math.nan},
             {"m_max": 0},
+            {"m_max": 2.5},
+            {"m_max": 40.0},
+            {"m_max": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -383,6 +387,9 @@ class TestCasimirPressure:
         )
         assert r.info.m_ceiling == expected_ceiling
         assert r.m_used <= r.info.m_ceiling
+        # a numpy integer m_max is stored as a Python int
+        r = casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(300.0), SolverOptions(m_max=np.int64(40)))
+        assert r.info.m_ceiling == 40 and type(r.info.m_ceiling) is int
 
     def test_material_swap_is_bit_identical(self, au, cu):
         r1 = casimir_pressure(PlateSystem(au, cu, gap=2e-7), ThermalState(300.0))

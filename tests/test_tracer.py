@@ -25,8 +25,13 @@ def test_tracer_installs_and_uninstalls(au):
         assert lifshitz.casimir_pressure is not original
         system = lifshitz.PlateSystem(au, au, gap=1e-6)
         result = lifshitz.casimir_pressure(system, lifshitz.ThermalState(300.0))
+        # the quadrature span wraps a working function, not only a name
+        integral = lifshitz.adaptive_pair_quadrature(lambda y: (y, 0.0), [0.0, 1.0])
     finally:
         tracer.uninstall()
     assert lifshitz.casimir_pressure is original
     assert tracer.counts["lifshitz.calls"] == 1
     assert tracer.counts["lifshitz.terms"] == result.m_used
+    assert integral == (0.5, 0.0)
+    assert tracer.counts["quadrature.calls"] == 1
+    assert tracer.counts["quadrature.evals"] == 15
