@@ -15,28 +15,41 @@ evaluated in batches per gap of up to max(64, target/16) terms, at most
 4 096, where the target is an upper estimate of the m at which the
 truncation rule below fires; a sum so evaluates at most one batch past its
 last summed term.  The batches of several gaps of one (plates, T) form one
-round; each rule takes the round's terms in numpy passes of up to 256
-terms, and a term's bits do not depend on its pass.  A pass takes its
-temporaries from float64 buffers that each thread keeps between passes,
-instead of faulting in freshly zeroed pages every pass.  In t = y -
-m*gamma the integrand is e^(-2t) times a smooth function, so at quad_tol
->= 1e-13 every term first takes one fixed rule.  A term with m*gamma >=
-1.2 takes the 24-point Gauss-Laguerre rule for that weight (24 points)
-and keeps GL24 when |GL24 - E17| meets the quadrature tolerance, E17
-being the interpolatory rule on GL24's first 17 nodes: the error estimate
-costs no extra point.  Below that floor the reflection coefficients turn
-on the scale m*gamma near t = 0 and a rule and its estimate can agree on
-a wrong value, so those terms take the exp-sinh rule t = exp((pi/2)
+round; each rule takes the round's terms in numpy passes of at most 17 920
+kernel points (256 terms of 70 points, 1 792 of 10), and a term's bits do
+not depend on its pass.  A pass takes its temporaries from float64 buffers
+that each thread keeps between passes, instead of faulting in freshly zeroed
+pages every pass.  In t = y - m*gamma the integrand is e^(-2t) times a
+smooth function, so at quad_tol >= 1e-13 every term first takes one fixed
+rule.  A term with m*gamma >= 1.2 takes a rule of the Gauss-Laguerre ladder
+for that weight, chosen by m*gamma:
+
+    m*gamma      rule   estimate   worst relative error in the scan
+    [1.2, 2)     GL24   E17        2.2e-13
+    [2, 3)       GL16   E13        7.3e-13
+    [3, 4)       GL12   E10        4.1e-12
+    >= 4         GL10   E9         3.8e-12
+
+and keeps it when |GL_n - E_k| meets the quadrature tolerance, E_k being
+the interpolatory rule on GL_n's first k nodes: the error estimate costs no
+extra point.  The scan took every summed term of the six preset pairs,
+plasma-plasma and plasma-Au (1 K at 12 gaps, 300 and 350 K at 60 gaps,
+50 nm to 3 um; 1 039 873 terms at m*gamma >= 1.2) against the panel path at
+quad_tol 1e-15: no rule accepted a term off by more than its tolerance at
+1e-10 or 1e-13.  Below the floor of 1.2 the reflection coefficients turn
+on the scale m*gamma near t = 0 and a rule and its estimate can agree on a
+wrong value, so those terms take the exp-sinh rule t = exp((pi/2)
 sinh(tau)) at step 1/12 (70 points), whose doubly exponential crowding
 near t = 0 resolves that scale, and keep it when est**2/|I| meets the
 tolerance, est being its difference from the nested rule at step 1/6.  A
 term that misses its test takes 6 geometric G7/K15 panels on [m*gamma,
 m*gamma + 50] (the integrand has decayed by ~e^-100 at the top) with breaks
-m*gamma*(1 + 50/(m*gamma))**(k/6); a term whose summed |K15 - G7| estimate
-misses the tolerance bisects its worst panel, together with all such terms
-of its pass.  At default settings no term of the standard sweep or of the
-1 K anchor cells misses, and the kernel averages 32.7 points per summed
-term at 100 nm and 1 K.  Below quad_tol 1e-13 every term takes the panels.
+m*gamma*(1 + 50/(m*gamma))**(k/6), 256 terms a pass; a term whose summed
+|K15 - G7| estimate misses the tolerance bisects its worst panel, together
+with all such terms of its pass.  At default settings no term of the
+standard sweep or of the 1 K anchor cells misses, and the kernel averages
+24.2 points per summed term at 100 nm and 1 K.  Below quad_tol 1e-13 every
+term takes the panels.
 The sum runs in ascending m with Kahan compensation and truncates
 once three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
@@ -83,8 +96,11 @@ _PANELS = 6
 # per-term arrays stay bounded up to TERM_BUDGET
 _MAX_BATCH = 64
 _BATCH_CLAMP = 4096
-# terms per kernel pass of a shared round: at most 256 x 70 = 17 920 exp-sinh
-# points (23 040 on the panel fallback)
+# most kernel points in one pass of a fixed rule: 256 terms of the 70-point
+# exp-sinh rule, 746 of GL24 and 1 792 of GL10, so that short rules do not pay
+# numpy's per-call cost on small passes and no pass outgrows an exp-sinh one
+_MAX_POINTS = 17_920
+# terms per pass of the panel fallback: 256 x 90 = 23 040 first-pass points
 _MAX_ROWS = 256
 _Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
 # 24-point Gauss-Laguerre rule for weight e^(-x) on [0, inf) (Abramowitz and
@@ -140,15 +156,107 @@ _E17 = (
     3.036413382101123,
     6.941417234567079,
 )
-# both rules as one nodes-first column of points t = y - m*gamma = x/2 and
-# weights w*exp(x)/2, which absorb the integrand's e^(-2t): GL24's 24 rows,
-# then E17's 17 rows on the first 17 of the same points
-_GL_T = np.array([x for x, _ in _GL24])[:, None] / 2.0
-_GL_W = np.array([*(w for _, w in _GL24), *_E17])[:, None] / 2.0
-# smallest m*gamma that tries the Gauss-Laguerre pass: below it the reflection
+# the ladder's shorter rules, each with the embedded rule on its own first
+# nodes, solved the same way (60-digit roots of L_n and 60-digit moment
+# solves; every embedded weight is positive): GL16 with E13, GL12 with E10,
+# GL10 with E9
+_GL16 = (
+    (0.08764941047892784, 0.22503631486424724),
+    (0.46269632891508083, 0.5258360527623425),
+    (1.141057774831227, 0.831961391687087),
+    (2.1292836450983805, 1.1460992409637516),
+    (3.4370866338932067, 1.4717513169668086),
+    (5.078018614549768, 1.813134687381348),
+    (7.070338535048234, 2.1755175196946075),
+    (9.438314336391938, 2.565762750165029),
+    (12.21422336886616, 2.993215086371375),
+    (15.441527368781617, 3.4712344831020903),
+    (19.180156856753136, 4.020044086444669),
+    (23.515905693991908, 4.672516607732854),
+    (28.57872974288214, 5.487420657986153),
+    (34.58339870228662, 6.5853612332892135),
+    (41.94045264768833, 8.276357984364234),
+    (51.70116033954332, 11.824277551658435),
+)
+_E13 = (
+    0.22503635009575412,
+    0.5258359059247498,
+    0.8319617868426403,
+    1.146098247676841,
+    1.4717539058251579,
+    1.8131273526676819,
+    2.175540754294029,
+    2.565678730899631,
+    2.993568210027524,
+    3.469479403947486,
+    4.0305372131530115,
+    4.595967673576401,
+    6.16684384446312,
+)
+_GL12 = (
+    (0.11572211735802068, 0.2972096360444108),
+    (0.6117574845151307, 0.6964629804305972),
+    (1.5126102697764188, 1.1077813946157522),
+    (2.8337513377435073, 1.5384642390428291),
+    (4.5992276394183484, 1.9983276062742428),
+    (6.844525453115177, 2.5007457691008668),
+    (9.621316842456867, 3.0653215182823863),
+    (13.006054993306348, 3.7232891107827717),
+    (17.116855187462257, 4.529814029981735),
+    (22.151090379397004, 5.597258461835321),
+    (28.487967250984, 7.212995460925877),
+    (37.09912104446692, 10.543837461910082),
+)
+_E10 = (
+    0.29720935634313594,
+    0.696464225009444,
+    1.107777618039696,
+    1.5384755924730977,
+    1.998289815196517,
+    2.5008932611929238,
+    3.0646169809225134,
+    3.7275865600470617,
+    4.494627554712772,
+    6.008904222467706,
+)
+_GL10 = (
+    (0.13779347054049243, 0.3540097386069963),
+    (0.7294545495031705, 0.8319023010435808),
+    (1.808342901740316, 1.330288561749328),
+    (3.4014336978548996, 1.863063903111131),
+    (5.552496140063804, 2.4502555580830103),
+    (8.330152746764497, 3.1227641551351826),
+    (11.843785837900066, 3.934152695561521),
+    (16.279257831378104, 4.992414872193023),
+    (21.99658581198076, 6.572202485130803),
+    (29.92069701227389, 9.784695840374631),
+)
+_E9 = (
+    0.35400978167298325,
+    0.8319020968578764,
+    1.3302892589872526,
+    1.8630613932607558,
+    2.450266338859685,
+    3.122704375017003,
+    3.9346162570026673,
+    4.98679068760399,
+    6.703006789041029,
+)
+# smallest m*gamma that tries a Gauss-Laguerre rule: below it the reflection
 # coefficients turn on the scale m*gamma near t = 0, where a rule and its
 # estimate can agree while both are wrong; see the README "Numerical notes"
 _GL_FLOOR = 1.2
+# the Gauss-Laguerre ladder, one row per band of m*gamma in ascending order:
+# (lowest m*gamma, points t = y - m*gamma = x/2 as a nodes-first column,
+# weights w*exp(x)/2, which absorb the integrand's e^(-2t)).  A rule's own
+# weights come first, then its embedded rule's on its first points.  The band
+# edges go by relative error, which the per-term tests hold to 1e-11: GL16
+# from 1.2 reads 1.5e-10 there, and GL10 from 3 reads 5e-11; see the module
+# notes for the scan
+_GL_LADDER = tuple(
+    (lowest, np.array([x for x, _ in gl])[:, None] / 2.0, np.array([*(w for _, w in gl), *e])[:, None] / 2.0)
+    for lowest, gl, e in ((_GL_FLOOR, _GL24, _E17), (2.0, _GL16, _E13), (3.0, _GL12, _E10), (4.0, _GL10, _E9))
+)
 # the terms below the floor first take the exp-sinh rule of Takahasi and Mori
 # (Publ. RIMS 9, 721, 1974): t = y - m*gamma = exp((pi/2)*sinh(tau)) at
 # tau = k/12 in [-4, 1.75], 70 points, with weights (dt/dtau)/12.  The even
@@ -328,24 +436,26 @@ def _mode_parts(y, mg, d):
 def _rule_sums(t, w, n, mg, d):
     """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over the
     first n rows of w and over the rest, shape (2, 2, terms), in kernel passes
-    of at most _MAX_ROWS terms.  Rows of w past the last node weight the
-    first nodes again: an embedded rule on the same points."""
-    # weighted values as (row, TM|TE, term): the row axis is never the
-    # contiguous one, so each reduce adds whole rows in row order and a term's
-    # sums do not depend on how many terms its pass holds
-    sums = np.empty((2, 2, mg.size))
+    of at most _MAX_POINTS points.  Rows of w past the last point weight the
+    first points again: an embedded rule on the same points."""
+    # weighted values as (row, TM|TE, term), one block of rows at a time: the
+    # row axis is never the contiguous one, so each reduce adds whole rows in
+    # row order and a term's sums do not depend on how many terms its pass holds
     nodes = len(t)
-    for k in range(0, mg.size, _MAX_ROWS):
-        rows = slice(k, k + _MAX_ROWS)
+    blocks = ((w[:n], slice(0, n)), (w[n:], slice(n % nodes, n % nodes + len(w) - n)))
+    sums = np.empty((2, 2, mg.size))
+    step = _MAX_POINTS // nodes
+    for k in range(0, mg.size, step):
+        rows = slice(k, k + step)
         part = mg[rows]
-        uv, y = _take((len(w), 2, part.size), (nodes, part.size))
+        uv, y = _take((max(n, len(w) - n), 2, part.size), (nodes, part.size))
         np.add(t, part, out=y)
         u, v = _mode_parts(y, part, d[:, rows])
-        for j, f in enumerate((u, v)):
-            np.multiply(f, w[:nodes], out=uv[:nodes, j])
-            np.multiply(f[: len(w) - nodes], w[nodes:], out=uv[nodes:, j])
-        sums[0, :, rows] = np.add.reduce(uv[:n], axis=0)
-        sums[1, :, rows] = np.add.reduce(uv[n:], axis=0)
+        for i, (weights, points) in enumerate(blocks):
+            block = uv[: len(weights)]
+            np.multiply(u[points], weights, out=block[:, 0])
+            np.multiply(v[points], weights, out=block[:, 1])
+            sums[i, :, rows] = np.add.reduce(block, axis=0)
         _give(y, u, v, uv)
     return sums
 
@@ -354,31 +464,35 @@ def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray,
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
     At tol >= _FIXED_MIN_TOL every term first takes one fixed rule, the terms
-    of each rule gathered once and run in kernel passes of at most _MAX_ROWS
-    terms.  A term with mg >= _GL_FLOOR takes GL24 at y = mg + x/2 (24
-    points) and keeps it when |GL24 - E17| of TM + TE meets max(tol,
-    tol*|I|), E17 being the embedded rule on GL24's first 17 nodes.  A term
-    below the floor takes the exp-sinh rule (70 points) and keeps it when
-    est**2/|I| meets that test, est being its difference from the nested
-    step-1/6 rule: the rule's error roughly squares when the step halves.
-    Every other term starts from _PANELS geometric G7/K15 panels on [mg, mg +
-    _Y_SPAN], evaluated in array passes of at most _MAX_ROWS terms, and is
-    refined by :func:`batched_pair_quadrature` until |K15 - G7| meets the
-    first test.  A term's result depends only on its own inputs: the node
-    sums are sequential reductions over the nodes-first axis.  d holds eps - 1
-    of the plates, shape (plates, terms): one row for identical plates, as in
+    of each rule gathered once and run in kernel passes of at most
+    _MAX_POINTS points.  A term with mg >= _GL_FLOOR takes the rule of its
+    band of _GL_LADDER: GL24 from 1.2, GL16 from 2, GL12 from 3 and GL10 from
+    4, at y = mg + x/2, and keeps it when |GL_n - E_k| of TM + TE meets
+    max(tol, tol*|I|), E_k being the embedded rule on the rule's first k
+    nodes (E17, E13, E10 and E9).  A term below the floor takes the exp-sinh
+    rule (70 points) and keeps it when est**2/|I| meets that test, est being
+    its difference from the nested step-1/6 rule: the rule's error roughly
+    squares when the step halves.  Every other term starts from _PANELS
+    geometric G7/K15 panels on [mg, mg + _Y_SPAN], evaluated in array passes
+    of at most _MAX_ROWS terms, and is refined by
+    :func:`batched_pair_quadrature` until |K15 - G7| meets the first test.  A
+    term's result depends only on its own inputs: the node sums are
+    sequential reductions over the nodes-first axis.  d holds eps - 1 of the
+    plates, shape (plates, terms): one row for identical plates, as in
     _mode_parts.
     """
     tm, te = np.empty_like(mg), np.empty_like(mg)
     panel = np.ones(mg.shape, dtype=bool)
     if tol >= _FIXED_MIN_TOL:
-        rows = np.flatnonzero(mg >= _GL_FLOOR)
-        if rows.size:
-            (u, v), e17 = _rule_sums(_GL_T, _GL_W, len(_GL24), mg[rows], d[:, rows])
-            total = u + v
-            panel[rows] = np.abs(total - (e17[0] + e17[1])) > np.maximum(tol, tol * np.abs(total))
-            tm[rows], te[rows] = u, v
-        rows = np.flatnonzero(mg < _GL_FLOOR)
+        band = np.searchsorted([lowest for lowest, _, _ in _GL_LADDER], mg, side="right") - 1
+        for i, (_, t, w) in enumerate(_GL_LADDER):
+            rows = np.flatnonzero(band == i)
+            if rows.size:
+                (u, v), est = _rule_sums(t, w, len(t), mg[rows], d[:, rows])
+                total = u + v
+                panel[rows] = np.abs(total - (est[0] + est[1])) > np.maximum(tol, tol * np.abs(total))
+                tm[rows], te[rows] = u, v
+        rows = np.flatnonzero(band < 0)
         if rows.size:
             even, odd = _rule_sums(_DE_T, _DE_W, _DE_EVEN, mg[rows], d[:, rows])
             (u, v), est = even + odd, (odd[0] + odd[1]) - (even[0] + even[1])
@@ -574,8 +688,9 @@ def casimir_pressure(
     the zero-frequency term (see :func:`zero_frequency_term`; its TE part
     uses ``opts.quad_tol``) and each term_m a batched quadrature (see the
     module notes): at ``quad_tol`` >= 1e-13 a term with m*gamma >= 1.2 first
-    takes GL24 with its embedded E17 error estimate and a term below that the
-    nested exp-sinh rule; a term whose rule misses its error test, and every
+    takes the Gauss-Laguerre rule of its band (GL24 from 1.2, GL16 from 2,
+    GL12 from 3, GL10 from 4) with its embedded error estimate, and a term
+    below that the nested exp-sinh rule; a term whose rule misses its error test, and every
     term at a tighter ``quad_tol``, takes G7/K15 panels with array-native
     refinement.
     Terms accumulate in ascending m with Kahan compensation, so results are

@@ -10,7 +10,6 @@ solver, so all of them fail the same way, naming the cell.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import os
@@ -252,6 +251,8 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
     workers = _worker_count(jobs, os.cpu_count(), len(units))
     if workers == 1:
         return _assemble(units, map(_evaluate_unit, units))
+    import concurrent.futures  # here, not at the top: it loads the process pool and logging
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return _assemble(units, pool.map(_evaluate_unit, units))
 

@@ -41,12 +41,22 @@ def test_only_the_tracer_targets_are_imported_unused():
     assert unused == ["lifshitz.adaptive_pair_quadrature", "scenarios.casimir_pressure"]
 
 
-def test_cli_import_leaves_numpy_polynomial_unloaded():
-    """The Gauss-Laguerre rules are baked-in constants: numpy.polynomial would
-    add several ms and over 1 MB to every CLI process."""
-    code = "import sys, casimir_plates.cli; print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+def _modules_loaded_by_the_cli_import(prefix):
+    code = f"import sys, casimir_plates.cli; print([m for m in sys.modules if m.startswith({prefix!r})])"
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """The Gauss-Laguerre rules are baked-in constants: numpy.polynomial would
+    add several ms and over 1 MB to every CLI process."""
+    assert _modules_loaded_by_the_cli_import("numpy.polynomial") == "[]"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    """Only a sweep with more than one worker needs the process pool, which
+    brings logging and the executor machinery into the import."""
+    assert _modules_loaded_by_the_cli_import("concurrent") == "[]"

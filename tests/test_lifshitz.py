@@ -67,19 +67,25 @@ def kernel(y, mg, eps1, eps3):
     return _mode_parts(y, mg, np.array([eps1, eps3], dtype=float) - 1.0)
 
 
-def oracle_parts(mg, d, tol=1e-13, offsets=(0.0, 10.0, 50.0)):
-    """(TM, TE) of one identical-plate term by the scalar adaptive engine.
+def oracle_parts(mg, d, tol=1e-13, offsets=(0.0, 10.0, 50.0), d3=None):
+    """(TM, TE) of one term by the scalar adaptive engine.
 
-    The integral runs over y in [mg + offsets[0], mg + offsets[-1]], with a
-    break at each offset.  The integrand is written out here with Python
-    floats and shares nothing with the production kernel except its algebra.
+    d and d3 are eps - 1 of the two plates at the term's frequency (d3 = d
+    for identical plates).  The integral runs over y in [mg + offsets[0],
+    mg + offsets[-1]], with a break at each offset.  The integrand is written
+    out here with Python floats and shares nothing with the production kernel
+    except its algebra.
     """
+
+    def coefficients(e, p, s):
+        return e * ((e + 2.0) * p * p - 1.0) / ((e + 1.0) * p + s) ** 2, e / (s + p) ** 2
 
     def f(y):
         p = y / mg
-        s = math.sqrt(d + p * p)
-        tm = (d * ((d + 2.0) * p * p - 1.0) / ((d + 1.0) * p + s) ** 2) ** 2
-        te = (d / (s + p) ** 2) ** 2
+        tm1, te1 = coefficients(d, p, math.sqrt(d + p * p))
+        e = d if d3 is None else d3
+        tm3, te3 = coefficients(e, p, math.sqrt(e + p * p))
+        tm, te = tm1 * tm3, te1 * te3
         x = math.exp(-2.0 * y)
         return y * y * tm * x / (1.0 - tm * x), y * y * te * x / (1.0 - te * x)
 
@@ -545,20 +551,41 @@ def _low_t_batch(au):
     return ms * th.gamma(1e-6), au.eps(th.zeta(ms))[None] - 1.0
 
 
+# gaps of the standard sweep (60 from 50 nm to 3 um) and of a 12-gap 1 K
+# scan; at 81.27 nm, Al-Cu at 350 K has m = 5 at m*gamma = 0.39, where GL24
+# is 19 times the tolerance 1e-10 off
+_SWEEP_GAPS = gap_grid(5e-8, 3e-6, "log", 60)
+_SCAN_GAPS = gap_grid(5e-8, 3e-6, "log", 12)
+_AL_CU_GAP = _SWEEP_GAPS[7]
+
+
+def _assert_terms_match_the_oracle(mat1, mat3, gap, T):
+    """Every term m <= 64 and 40 more up to m_used of one cell is within 1e-11
+    relative of the scalar oracle at tolerance 1e-13, in TM and in TE."""
+    th = ThermalState(T)
+    r = casimir_pressure(PlateSystem(mat1, mat3, gap=gap), th)
+    prefactor = BOLTZMANN * th.T / (math.pi * gap**3)
+    sample = np.unique(np.concatenate([np.arange(1, 65), np.geomspace(65, r.m_used, 40).astype(int)]))
+    sample = sample[sample <= r.m_used]
+    worst = 0.0
+    for m in sample:
+        zeta = th.zeta(int(m))
+        d1, d3 = float(mat1.eps(zeta)) - 1.0, float(mat3.eps(zeta)) - 1.0
+        tm, te = oracle_parts(int(m) * r.info.gamma, d1, d3=d3)
+        worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
+        worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
+    assert worst <= 1e-11
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("gap", [5e-8, 1e-7, 2e-7, 5e-7, 1e-6, 3e-6])
     def test_terms_match_tight_adaptive_quadrature(self, au, gap):
-        th = ThermalState(1.0)
-        r = casimir_pressure(PlateSystem(au, au, gap=gap), th)
-        prefactor = BOLTZMANN * th.T / (math.pi * gap**3)
-        sample = np.unique(np.concatenate([np.arange(1, 65), np.geomspace(65, r.m_used, 40).astype(int)]))
-        worst = 0.0
-        for m in sample:
-            d = float(au.eps(th.zeta(int(m)))) - 1.0
-            tm, te = oracle_parts(int(m) * r.info.gamma, d)
-            worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
-            worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
-        assert worst <= 1e-11
+        _assert_terms_match_the_oracle(au, au, gap, 1.0)
+
+    @pytest.mark.parametrize(("gap", "T"), [(1e-7, 1.0), (_AL_CU_GAP, 350.0)])
+    def test_two_plate_terms_match_tight_adaptive_quadrature(self, al, cu, gap, T):
+        """Four of the six preset pairs take the kernel's two-factor path."""
+        _assert_terms_match_the_oracle(al, cu, gap, T)
 
     def test_missed_estimate_returns_the_adaptive_bits(self, au, refined):
         """A refined term gets the bits of the scalar adaptive loop run on
@@ -606,7 +633,7 @@ class TestBatchedKernel:
             assert np.array_equal(one[1], two[1])
         assert refined
 
-    @pytest.mark.parametrize(("T", "calls"), [(1.0, 16), (300.0, 2)])
+    @pytest.mark.parametrize(("T", "calls"), [(1.0, 19), (300.0, 5)])
     @pytest.mark.parametrize(("mat3", "factors"), [("au", 1), ("cu", 2)])
     def test_equal_plates_compute_one_reflection_factor(
         self, au, request, monkeypatch, mat3, factors, T, calls
@@ -641,10 +668,10 @@ class TestBatchedKernel:
         assert len(refined) <= 0.1 * r.m_used
 
     def test_kernel_points_per_term(self, au, monkeypatch):
-        """Terms with m*gamma >= 1.2 meet the tolerance on their 24
-        Gauss-Laguerre points and the others on their 70 exp-sinh points;
-        a term that misses would take 90 panel points and might refine:
-        under 35 kernel points per summed term at 100 nm / 1 K (32.7)."""
+        """Terms with m*gamma >= 1.2 meet the tolerance on their 24, 16, 12
+        or 10 Gauss-Laguerre points and the others on their 70 exp-sinh
+        points; a term that misses would take 90 panel points and might
+        refine: under 25 kernel points per summed term at 100 nm / 1 K (24.2)."""
         points = [0]
         kernel_parts = lifshitz._mode_parts
 
@@ -654,7 +681,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(lifshitz, "_mode_parts", counting)
         r = casimir_pressure(PlateSystem(au, au, gap=1e-7), ThermalState(1.0))
-        assert points[0] < 35 * r.m_used
+        assert points[0] < 25 * r.m_used
 
     def test_matches_single_term_evaluation(self, au):
         system = PlateSystem(au, au, gap=1e-6)
@@ -697,41 +724,52 @@ def _panel_reference(monkeypatch, mg, d, tol=1e-15):
     return tm + te
 
 
-# gaps of the standard sweep (60 from 50 nm to 3 um) and of a 12-gap 1 K
-# scan; at 81.27 nm, Al-Cu at 350 K has m = 5 at m*gamma = 0.39, where GL24
-# is 19 times the tolerance 1e-10 off
-_SWEEP_GAPS = gap_grid(5e-8, 3e-6, "log", 60)
-_SCAN_GAPS = gap_grid(5e-8, 3e-6, "log", 12)
-_AL_CU_GAP = _SWEEP_GAPS[7]
+# the Gauss-Laguerre ladder's rules and embedded rules, by band from the floor
+_LADDER_RULES = (("_GL24", "_E17"), ("_GL16", "_E13"), ("_GL12", "_E10"), ("_GL10", "_E9"))
 
 
 class TestGaussLaguerrePass:
     def test_constants_match_laggauss(self):
         from numpy.polynomial.laguerre import laggauss
 
-        x, w = laggauss(24)
-        baked = np.array(lifshitz._GL24)
-        np.testing.assert_allclose(baked[:, 0], x, rtol=1e-14, atol=0.0)
-        # laggauss's weights carry up to about 2e-13 relative error
-        np.testing.assert_allclose(baked[:, 1], w * np.exp(x), rtol=1e-12, atol=0.0)
-        assert np.array_equal(lifshitz._GL_T[:, 0], baked[:, 0] / 2.0)
-        assert np.array_equal(lifshitz._GL_W[:24, 0], baked[:, 1] / 2.0)
+        for (_, t, w), (name, _) in zip(lifshitz._GL_LADDER, _LADDER_RULES, strict=True):
+            baked = np.array(getattr(lifshitz, name))
+            x, wx = laggauss(len(baked))
+            np.testing.assert_allclose(baked[:, 0], x, rtol=1e-14, atol=0.0)
+            # laggauss's weights carry up to about 2e-13 relative error
+            np.testing.assert_allclose(baked[:, 1], wx * np.exp(x), rtol=1e-12, atol=0.0)
+            assert np.array_equal(t[:, 0], baked[:, 0] / 2.0)
+            assert np.array_equal(w[: len(baked), 0], baked[:, 1] / 2.0)
+
+    def test_ladder_layout(self):
+        """One row per band in ascending m*gamma from the floor: n points as a
+        nodes-first column, then the rule's n weights and its embedded rule's k."""
+        layout = [(lowest, t.shape, w.shape) for lowest, t, w in lifshitz._GL_LADDER]
+        assert layout == [
+            (lifshitz._GL_FLOOR, (24, 1), (41, 1)),
+            (2.0, (16, 1), (29, 1)),
+            (3.0, (12, 1), (22, 1)),
+            (4.0, (10, 1), (19, 1)),
+        ]
+        assert lifshitz._GL_FLOOR == 1.2
 
     def test_embedded_weights_match_a_60_digit_moment_solve(self):
-        """E17's weights integrate x**j e^(-x) exactly for j = 0..16 on the
-        first 17 nodes of GL24, recomputed from 60-digit roots of L_24."""
+        """Each embedded rule's weights integrate x**j e^(-x) exactly for
+        j < k on the first k nodes of its rule, recomputed from 60-digit roots
+        of L_n, and all of them are positive."""
         mpmath = pytest.importorskip("mpmath")
-        x = np.array(lifshitz._GL24)[:17, 0]
-        with mpmath.workdps(60):
-            roots = [mpmath.findroot(lambda z: mpmath.laguerre(24, 0, z), mpmath.mpf(r)) for r in x]
-            moments = mpmath.matrix([[r**j for r in roots] for j in range(17)])
-            e = mpmath.lu_solve(moments, mpmath.matrix([mpmath.factorial(j) for j in range(17)]))
-            scaled = [float(e[i] * mpmath.exp(r)) for i, r in enumerate(roots)]
-            assert min(e) > 0
-        assert [float(r) for r in roots] == x.tolist()
-        np.testing.assert_allclose(lifshitz._E17, scaled, rtol=1e-15, atol=0.0)
-        assert np.array_equal(lifshitz._GL_W[24:, 0], np.array(lifshitz._E17) / 2.0)
-        assert len(lifshitz._GL_W) == 41 and len(lifshitz._GL_T) == 24
+        for (_, _, w), (name, embedded) in zip(lifshitz._GL_LADDER, _LADDER_RULES, strict=True):
+            x = np.array(getattr(lifshitz, name))[:, 0]
+            n, k = len(x), len(getattr(lifshitz, embedded))
+            with mpmath.workdps(60):
+                roots = [mpmath.findroot(lambda z, n=n: mpmath.laguerre(n, 0, z), mpmath.mpf(r)) for r in x[:k]]
+                moments = mpmath.matrix([[r**j for r in roots] for j in range(k)])
+                e = mpmath.lu_solve(moments, mpmath.matrix([mpmath.factorial(j) for j in range(k)]))
+                scaled = [float(e[i] * mpmath.exp(r)) for i, r in enumerate(roots)]
+                assert min(e) > 0, embedded
+            assert [float(r) for r in roots] == x[:k].tolist(), name
+            np.testing.assert_allclose(getattr(lifshitz, embedded), scaled, rtol=1e-15, atol=0.0)
+            assert np.array_equal(w[n:, 0], np.array(getattr(lifshitz, embedded)) / 2.0)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_accepted_terms_meet_the_tolerance(self, au, cu, al, monkeypatch, panel_rows, tol):
@@ -771,13 +809,14 @@ class TestGaussLaguerrePass:
         tm, te = _batch_parts(mg, d, 1e-10)
         assert not panel_rows
         assert abs(tm[0] + te[0] - ref) <= bound
-        # GL24 is 19 times the tolerance off here; without the floor, E17
-        # sees it (|GL24 - E17| is 1.3 times the tolerance) and the term
-        # takes the panels
-        (u, v), (a, b) = lifshitz._rule_sums(lifshitz._GL_T, lifshitz._GL_W, 24, mg, d)
+        # GL24 is 19 times the tolerance off here; with GL24's band starting
+        # at 0 instead of the floor, E17 sees it (|GL24 - E17| is 1.3 times
+        # the tolerance) and the term takes the panels
+        _, t, w = lifshitz._GL_LADDER[0]
+        (u, v), (a, b) = lifshitz._rule_sums(t, w, 24, mg, d)
         assert abs(u[0] + v[0] - ref) > 10 * bound
         assert abs((u[0] + v[0]) - (a[0] + b[0])) > bound
-        monkeypatch.setattr(lifshitz, "_GL_FLOOR", 0.0)
+        monkeypatch.setattr(lifshitz, "_GL_LADDER", ((0.0, t, w), *lifshitz._GL_LADDER[1:]))
         panel_rows.clear()
         tm, te = _batch_parts(mg, d, 1e-10)
         assert panel_rows == set(mg.tolist())
@@ -812,13 +851,35 @@ class TestGaussLaguerrePass:
         # GL24 is up to 2 times the tolerance off on these terms at 1e-14;
         # with the fixed rules allowed there, E17 sends every one of them to
         # the panels, which meet the tolerance
-        (u, v), _ = lifshitz._rule_sums(lifshitz._GL_T, lifshitz._GL_W, 24, mg, d)
+        _, t, w = lifshitz._GL_LADDER[0]
+        (u, v), _ = lifshitz._rule_sums(t, w, 24, mg, d)
         assert np.max(np.abs(u + v - ref) / bound) > 1.5
         monkeypatch.setattr(lifshitz, "_FIXED_MIN_TOL", 0.0)
         panel_rows.clear()
         tm, te = _batch_parts(mg, d, 1e-14)
         assert panel_rows == set(mg.tolist())
         assert np.all(np.abs(tm + te - ref) <= bound)
+
+    def test_a_shorter_rule_below_its_band_takes_the_panel_path(self, al, monkeypatch, panel_rows):
+        """Moved down to the floor, each shorter rule of the ladder is up to
+        5.7 (GL16) to 9 800 (GL10) times the tolerance 1e-13 off on the 753
+        Al-Al terms above; its embedded estimate sees it, and every term
+        takes the panels.  At 1e-10, E10 and E9 would not see it: the band
+        edges, not the estimates, keep those rules where they are accurate."""
+        gamma = ThermalState(1.0).gamma(_SCAN_GAPS[1])
+        ms = np.arange(math.ceil(1.2 / gamma), math.floor(1.35 / gamma) + 1)
+        mg, d = _term_inputs(al, al, _SCAN_GAPS[1], 1.0, ms)
+        ref = _panel_reference(monkeypatch, mg, d)
+        bound = np.maximum(1e-13, 1e-13 * np.abs(ref))
+        for _, t, w in lifshitz._GL_LADDER[1:]:
+            (u, v), _ = lifshitz._rule_sums(t, w, len(t), mg, d)
+            assert np.max(np.abs(u + v - ref) / bound) > 5.0
+            panel_rows.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lifshitz, "_GL_LADDER", ((lifshitz._GL_FLOOR, t, w),))
+                tm, te = _batch_parts(mg, d, 1e-13)
+            assert panel_rows == set(mg.tolist())
+            assert np.all(np.abs(tm + te - ref) <= bound)
 
 
 class TestExpSinhRule:
@@ -915,8 +976,9 @@ class TestTermBudget:
 
     def test_a_round_near_the_budget_stays_bounded(self, au, monkeypatch):
         """eps is evaluated once per 4 096-term round, and every kernel call
-        holds at most 256 terms.  The kernel stub makes every term zero, so
-        the sum ends after its first round."""
+        holds at most _MAX_POINTS points: 256 terms of the exp-sinh rule.  The
+        kernel stub makes every term zero, so the sum ends after its first
+        round."""
         th = ThermalState(0.01)
         assert TERM_BUDGET / 2 < expected_terms(2e-7, th) < TERM_BUDGET
         terms, rows = [], []
@@ -938,7 +1000,7 @@ class TestTermBudget:
         r = casimir_pressure(PlateSystem(au, au, gap=2e-7), th)
         assert r.m_used == 3
         assert terms == [lifshitz._BATCH_CLAMP] == [4096]
-        assert rows == [lifshitz._MAX_ROWS] * 16 == [256] * 16
+        assert rows == [lifshitz._MAX_POINTS // 70] * 16 == [256] * 16
 
 
 class TestCasimirPressures:
@@ -1109,6 +1171,39 @@ class TestKernelBuffers:
 
         monkeypatch.setattr(lifshitz, "batched_pair_quadrature", no_panels)
         _batch_parts(mg, d, 1e-10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _batch_parts(mg, d, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * 256 * 70 * 8
+
+    @pytest.mark.parametrize("plates", [1, 2])
+    def test_a_warm_ladder_pass_allocates_under_three_pass_arrays(self, au, cu, monkeypatch, plates):
+        """A pass of the shortest Gauss-Laguerre rule holds 1 792 terms of 10
+        points: as many points as an exp-sinh pass, and as little allocated
+        once warm."""
+        gamma = ThermalState(1.0).gamma(1e-6)
+        start = math.ceil(lifshitz._GL_LADDER[-1][0] / gamma)
+        mg, d = _term_inputs(au, au if plates == 1 else cu, 1e-6, 1.0, np.arange(start, start + 1792))
+        passes = []
+        kernel_parts = lifshitz._mode_parts
+
+        def counting(y, mg, d):
+            passes.append(y.shape)
+            return kernel_parts(y, mg, d)
+
+        def no_panels(*args):
+            raise AssertionError("a term took the panel path")
+
+        monkeypatch.setattr(lifshitz, "_mode_parts", counting)
+        monkeypatch.setattr(lifshitz, "batched_pair_quadrature", no_panels)
+        _batch_parts(mg, d, 1e-10)
+        assert passes == [(10, 1792)] and 10 * 1792 == lifshitz._MAX_POINTS
+        # the weighted (point, TM|TE, term) block is the largest temporary
+        assert max(a.base.size for a in lifshitz._spare.buffers) == 2 * lifshitz._MAX_POINTS
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
