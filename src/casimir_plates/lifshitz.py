@@ -20,36 +20,20 @@ kernel points (256 terms of 70 points, 1 792 of 10), and a term's bits do
 not depend on its pass.  A pass takes its temporaries from float64 buffers
 that each thread keeps between passes, instead of faulting in freshly zeroed
 pages every pass.  In t = y - m*gamma the integrand is e^(-2t) times a
-smooth function, so at quad_tol >= 1e-13 every term first takes one fixed
-rule.  A term with m*gamma >= 1.2 takes a rule of the Gauss-Laguerre ladder
-for that weight, chosen by m*gamma:
-
-    m*gamma      rule   estimate   worst relative error in the scan
-    [1.2, 2)     GL24   E17        2.2e-13
-    [2, 3)       GL16   E13        7.3e-13
-    [3, 4)       GL12   E10        4.1e-12
-    >= 4         GL10   E9         3.8e-12
-
-and keeps it when |GL_n - E_k| meets the quadrature tolerance, E_k being
-the interpolatory rule on GL_n's first k nodes: the error estimate costs no
-extra point.  The scan took every summed term of the six preset pairs,
-plasma-plasma and plasma-Au (1 K at 12 gaps, 300 and 350 K at 60 gaps,
-50 nm to 3 um; 1 039 873 terms at m*gamma >= 1.2) against the panel path at
-quad_tol 1e-15: no rule accepted a term off by more than its tolerance at
-1e-10 or 1e-13.  Below the floor of 1.2 the reflection coefficients turn
-on the scale m*gamma near t = 0 and a rule and its estimate can agree on a
-wrong value, so those terms take the exp-sinh rule t = exp((pi/2)
-sinh(tau)) at step 1/12 (70 points), whose doubly exponential crowding
-near t = 0 resolves that scale, and keep it when est**2/|I| meets the
-tolerance, est being its difference from the nested rule at step 1/6.  A
-term that misses its test takes 6 geometric G7/K15 panels on [m*gamma,
-m*gamma + 50] (the integrand has decayed by ~e^-100 at the top) with breaks
-m*gamma*(1 + 50/(m*gamma))**(k/6), 256 terms a pass; a term whose summed
-|K15 - G7| estimate misses the tolerance bisects its worst panel, together
-with all such terms of its pass.  At default settings no term of the
-standard sweep or of the 1 K anchor cells misses, and the kernel averages
-24.2 points per summed term at 100 nm and 1 K.  Below quad_tol 1e-13 every
-term takes the panels.
+smooth function, so two families of fixed rules take every term.  At
+quad_tol >= 1e-13 a term with m*gamma >= 1.2 takes the Gauss-Laguerre rule
+for that weight of its band, GL24 from 1.2, GL16 from 2, GL12 from 3 and
+GL10 from 4, and keeps it when |GL_n - E_k| meets the quadrature tolerance,
+E_k being the interpolatory rule on GL_n's first k nodes (E17, E13, E10 and
+E9; the README's "Numerical notes" give the scan).  Below the floor of 1.2
+a rule and its estimate can agree on a wrong value, so those terms, every
+term that misses its test and every term at quad_tol < 1e-13 climb the
+levels of the exp-sinh rule (:func:`_exp_sinh_ladder`), whose doubly
+exponential crowding near t = 0 resolves the scale m*gamma on which the
+reflection coefficients turn there.  At default settings no term of the
+standard sweep or of the 1 K anchor cells misses its first rule, and the
+kernel averages 24.2 points per summed term at 100 nm and 1 K (29.3 at
+quad_tol 1e-13, 150.0 at 1e-14).
 The sum runs in ascending m with Kahan compensation and truncates
 once three consecutive terms each contribute less than 1e-9 of the running
 sum.  The hard ceiling on m is the larger of ceil(10 hbar c / (2 a k_B T))
@@ -69,7 +53,7 @@ import numpy as np
 from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 from .dispersion import Material
 # unused adaptive_pair_quadrature: perfbench's tracer wraps it here until ROADMAP item 2
-from .quadrature import adaptive_pair_quadrature, batched_pair_quadrature  # noqa: F401
+from .quadrature import QuadratureError, adaptive_pair_quadrature  # noqa: F401
 from .special import polylog3
 
 __all__ = [
@@ -89,8 +73,6 @@ __all__ = [
     "ideal_metal_pressure_T0",
 ]
 
-# G7/K15 panels per term in the batched kernel's first pass
-_PANELS = 6
 # most terms in one batch of a gap: _MAX_BATCH, or 1/16 of the gap's expected
 # terms when that is more, but never more than _BATCH_CLAMP, so that a round's
 # per-term arrays stay bounded up to TERM_BUDGET
@@ -100,9 +82,6 @@ _BATCH_CLAMP = 4096
 # exp-sinh rule, 746 of GL24 and 1 792 of GL10, so that short rules do not pay
 # numpy's per-call cost on small passes and no pass outgrows an exp-sinh one
 _MAX_POINTS = 17_920
-# terms per pass of the panel fallback: 256 x 90 = 23 040 first-pass points
-_MAX_ROWS = 256
-_Y_SPAN = 50.0  # y range of a term above m*gamma; 100 changes a term by < 1e-15
 # 24-point Gauss-Laguerre rule for weight e^(-x) on [0, inf) (Abramowitz and
 # Stegun 25.4.45, table 25.9): nodes x_i and scaled weights w_i*exp(x_i), to
 # double precision from 60-digit roots of L_24
@@ -251,22 +230,31 @@ _GL_FLOOR = 1.2
 # weights w*exp(x)/2, which absorb the integrand's e^(-2t)).  A rule's own
 # weights come first, then its embedded rule's on its first points.  The band
 # edges go by relative error, which the per-term tests hold to 1e-11: GL16
-# from 1.2 reads 1.5e-10 there, and GL10 from 3 reads 5e-11; see the module
-# notes for the scan
+# from 1.2 reads 1.5e-10 there, and GL10 from 3 reads 5e-11; see the README
+# for the scan
 _GL_LADDER = tuple(
     (lowest, np.array([x for x, _ in gl])[:, None] / 2.0, np.array([*(w for _, w in gl), *e])[:, None] / 2.0)
     for lowest, gl, e in ((_GL_FLOOR, _GL24, _E17), (2.0, _GL16, _E13), (3.0, _GL12, _E10), (4.0, _GL10, _E9))
 )
-# the terms below the floor first take the exp-sinh rule of Takahasi and Mori
-# (Publ. RIMS 9, 721, 1974): t = y - m*gamma = exp((pi/2)*sinh(tau)) at
-# tau = k/12 in [-4, 1.75], 70 points, with weights (dt/dtau)/12.  The even
-# k come first: with twice their weights they alone are the rule at step 1/6
-_DE_TAU = [k / 12 for k in (*range(-48, 22, 2), *range(-47, 22, 2))]
-_DE_EVEN = len(_DE_TAU) // 2
-_DE_T = np.array([math.exp(math.pi / 2 * math.sinh(tau)) for tau in _DE_TAU])[:, None]
-_DE_W = np.array([math.pi / 2 * math.cosh(tau) * t / 12 for tau, t in zip(_DE_TAU, _DE_T[:, 0])])[:, None]
-# smallest tolerance the two fixed rules are used at: both were validated at
-# 1e-10 and 1e-13 only
+
+
+def _exp_sinh(step, ks):
+    """Points t = exp((pi/2)*sinh(tau)) and weights (dt/dtau)/step at tau = k/step, as columns."""
+    t = [math.exp(math.pi / 2 * math.sinh(k / step)) for k in ks]
+    return np.array(t)[:, None], np.array([math.pi / 2 * math.cosh(k / step) * x / step for k, x in zip(ks, t)])[:, None]
+
+
+# every other term takes the exp-sinh rule of Takahasi and Mori (Publ. RIMS 9,
+# 721, 1974): t = y - m*gamma = exp((pi/2)*sinh(tau)) at tau = k/12 in
+# [-4, 1.75], 70 points, with weights (dt/dtau)/12.  The 35 even k come
+# first: with twice their weights they alone are the rule at step 1/6
+_DE_T, _DE_W = _exp_sinh(12, (*range(-48, 22, 2), *range(-47, 22, 2)))
+_DE_EVEN = 35
+# its finer levels, steps 1/24 and 1/48: each adds the odd k of tau = k/step
+# in [-4, 1.75] (69 and 138 points) to the points of the levels before
+_DE_FINER = tuple(_exp_sinh(step, range(1 - 4 * step, 7 * step // 4 + 1, 2)) for step in (24, 48))
+# smallest tolerance of the Gauss-Laguerre rules and of the exp-sinh rule's
+# squared test at step 1/12: both were validated at 1e-10 and 1e-13 only
 _FIXED_MIN_TOL = 1e-13
 #: the Matsubara sum stops after this many successive terms below sum_rel_tol
 SUM_CONSECUTIVE = 3
@@ -433,11 +421,28 @@ def _mode_parts(y, mg, d):
     return tm, te
 
 
-def _rule_sums(t, w, n, mg, d):
+def _static_te_parts(y, mg, d):
+    """Integrand (TM, TE) of the m = 0 term of two plasma plates at y.  TM is
+    zero; TE is _mode_parts's at p = y, d = W**2 (mg is unused), but with its
+    denominator 1 - r*e^(-2y), which rounds to 0 at the exp-sinh rule's
+    smallest y, written as -expm1(-2y) + e^(-2y)*(q1 + q3 - q1*q3), q = 1 - r
+    = 2y/(s + y).  Symmetric in the plates; the caller owns both arrays."""
+    tm, te = _take(y.shape, y.shape)
+    tm.fill(0.0)
+    s1, s3 = (np.sqrt(e + y * y) + y for e in d)  # s + p of each plate
+    r = d[0] / (s1 * s1) * (d[1] / (s3 * s3))
+    q1, q3 = 2.0 * y / s1, 2.0 * y / s3
+    x = np.exp(-2.0 * y)
+    np.divide(y * y * r * x, x * (q1 + q3 - q1 * q3) - np.expm1(-2.0 * y), out=te)
+    return tm, te
+
+
+def _rule_sums(t, w, n, mg, d, kernel):
     """Weighted (TM, TE) sums of the fixed rule (t, w) at y = mg + t over the
-    first n rows of w and over the rest, shape (2, 2, terms), in kernel passes
-    of at most _MAX_POINTS points.  Rows of w past the last point weight the
-    first points again: an embedded rule on the same points."""
+    first n rows of w and over the rest, shape (2, 2, terms), in passes of at
+    most _MAX_POINTS points of kernel, _mode_parts or _static_te_parts.  Rows
+    of w past the last point weight the first points again: an embedded rule
+    on the same points."""
     # weighted values as (row, TM|TE, term), one block of rows at a time: the
     # row axis is never the contiguous one, so each reduce adds whole rows in
     # row order and a term's sums do not depend on how many terms its pass holds
@@ -450,7 +455,7 @@ def _rule_sums(t, w, n, mg, d):
         part = mg[rows]
         uv, y = _take((max(n, len(w) - n), 2, part.size), (nodes, part.size))
         np.add(t, part, out=y)
-        u, v = _mode_parts(y, part, d[:, rows])
+        u, v = kernel(y, part, d[:, rows])
         for i, (weights, points) in enumerate(blocks):
             block = uv[: len(weights)]
             np.multiply(u[points], weights, out=block[:, 0])
@@ -460,58 +465,65 @@ def _rule_sums(t, w, n, mg, d):
     return sums
 
 
+def _exp_sinh_ladder(mg, d, tol, kernel):
+    """(TM, TE) integrals of terms by the exp-sinh rule, climbing its levels.
+
+    Every term takes step 1/12 and, while it misses its test, steps 1/24 and
+    1/48 (139 and 277 points), whose sums S_h = S_2h/2 + their new points'.
+    A term keeps S_h when |S_h - S_2h| of TM + TE meets max(tol, tol*|I|),
+    which bounds S_2h's error; at step 1/12 with tol >= _FIXED_MIN_TOL, when
+    its square over |I| does (the rule's error roughly squares when the step
+    halves).  A term that misses at step 1/48 raises QuadratureError.
+    """
+    even, odd = _rule_sums(_DE_T, _DE_W, _DE_EVEN, mg, d, kernel)
+    (tm, te), est = even + odd, (odd[0] + odd[1]) - (even[0] + even[1])
+    size = np.abs(tm + te)
+    bound = np.maximum(tol, tol * size)
+    rows = np.flatnonzero(est * est > bound * size if tol >= _FIXED_MIN_TOL else np.abs(est) > bound)
+    for t, w in _DE_FINER:
+        if not rows.size:
+            break
+        (u, v), _ = _rule_sums(t, w, len(t), mg[rows], d[:, rows], kernel)
+        u += tm[rows] / 2.0
+        v += te[rows] / 2.0
+        est = (u + v) - (tm[rows] + te[rows])
+        tm[rows], te[rows] = u, v
+        rows = rows[np.abs(est) > np.maximum(tol, tol * np.abs(u + v))]
+    if rows.size:
+        raise QuadratureError(
+            f"the exp-sinh rule missed tol={tol:g} at its last step, 1/48, on {rows.size} of "
+            f"{mg.size} terms, the first at m*gamma={mg[rows[0]]:g}"
+        )
+    return tm, te
+
+
 def _batch_parts(mg: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(TM, TE) integrals of a batch of Matsubara terms, one per entry of mg.
 
-    At tol >= _FIXED_MIN_TOL every term first takes one fixed rule, the terms
-    of each rule gathered once and run in kernel passes of at most
-    _MAX_POINTS points.  A term with mg >= _GL_FLOOR takes the rule of its
-    band of _GL_LADDER: GL24 from 1.2, GL16 from 2, GL12 from 3 and GL10 from
-    4, at y = mg + x/2, and keeps it when |GL_n - E_k| of TM + TE meets
-    max(tol, tol*|I|), E_k being the embedded rule on the rule's first k
-    nodes (E17, E13, E10 and E9).  A term below the floor takes the exp-sinh
-    rule (70 points) and keeps it when est**2/|I| meets that test, est being
-    its difference from the nested step-1/6 rule: the rule's error roughly
-    squares when the step halves.  Every other term starts from _PANELS
-    geometric G7/K15 panels on [mg, mg + _Y_SPAN], evaluated in array passes
-    of at most _MAX_ROWS terms, and is refined by
-    :func:`batched_pair_quadrature` until |K15 - G7| meets the first test.  A
-    term's result depends only on its own inputs: the node sums are
-    sequential reductions over the nodes-first axis.  d holds eps - 1 of the
-    plates, shape (plates, terms): one row for identical plates, as in
-    _mode_parts.
+    At tol >= _FIXED_MIN_TOL a term with mg >= _GL_FLOOR first takes the rule
+    of its band of _GL_LADDER at y = mg + x/2, and keeps it when |GL_n - E_k|
+    of TM + TE meets max(tol, tol*|I|), E_k being the embedded rule on the
+    rule's first k nodes.  Every other term climbs :func:`_exp_sinh_ladder`.
+    The terms of each rule are gathered once and run in kernel passes of at
+    most _MAX_POINTS points, and a term's result depends only on its own
+    inputs: the node sums are sequential reductions over the nodes-first
+    axis.  d holds eps - 1 of the plates, shape (plates, terms): one row for
+    identical plates, as in _mode_parts.
     """
     tm, te = np.empty_like(mg), np.empty_like(mg)
-    panel = np.ones(mg.shape, dtype=bool)
+    ladder = np.ones(mg.shape, dtype=bool)
     if tol >= _FIXED_MIN_TOL:
         band = np.searchsorted([lowest for lowest, _, _ in _GL_LADDER], mg, side="right") - 1
         for i, (_, t, w) in enumerate(_GL_LADDER):
             rows = np.flatnonzero(band == i)
             if rows.size:
-                (u, v), est = _rule_sums(t, w, len(t), mg[rows], d[:, rows])
+                (u, v), est = _rule_sums(t, w, len(t), mg[rows], d[:, rows], _mode_parts)
                 total = u + v
-                panel[rows] = np.abs(total - (est[0] + est[1])) > np.maximum(tol, tol * np.abs(total))
+                ladder[rows] = np.abs(total - (est[0] + est[1])) > np.maximum(tol, tol * np.abs(total))
                 tm[rows], te[rows] = u, v
-        rows = np.flatnonzero(band < 0)
-        if rows.size:
-            even, odd = _rule_sums(_DE_T, _DE_W, _DE_EVEN, mg[rows], d[:, rows])
-            (u, v), est = even + odd, (odd[0] + odd[1]) - (even[0] + even[1])
-            size = np.abs(u + v)
-            panel[rows] = est * est > np.maximum(tol, tol * size) * size
-            tm[rows], te[rows] = u, v
-    missed = np.flatnonzero(panel)
-    for k in range(0, missed.size, _MAX_ROWS):
-        rows = missed[k : k + _MAX_ROWS]
-        lo = mg[rows, None]
-        breaks = lo * (1.0 + _Y_SPAN / lo) ** (np.arange(_PANELS + 1) / _PANELS)
-        breaks[:, 0] = lo[:, 0]
-        breaks[:, -1] = lo[:, 0] + _Y_SPAN
-        e = d[:, rows, None]
-
-        def f(y, r):
-            return _mode_parts(y, lo[r], e[:, r])
-
-        tm[rows], te[rows] = batched_pair_quadrature(f, breaks, tol)
+    rows = np.flatnonzero(ladder)
+    if rows.size:
+        tm[rows], te[rows] = _exp_sinh_ladder(mg[rows], d[:, rows], tol, _mode_parts)
     return tm, te
 
 
@@ -548,13 +560,15 @@ def matsubara_term(
 
     Integrates over y >= m*gamma to absolute-or-relative tolerance ``tol``,
     with the rules and kernel :func:`casimir_pressure` uses for each term;
-    the module notes give each rule's range of y.
+    the module notes give each rule's range of m*gamma.
 
     Raises
     ------
     ValueError
         If m < 1; material evaluation failures propagate with m and zeta_m
         attached.
+    QuadratureError
+        If the finest exp-sinh level misses ``tol``.
     """
     m = int(m)
     if m < 1:
@@ -566,22 +580,13 @@ def matsubara_term(
 
 
 def _zero_frequency_parts(system: PlateSystem, tol: float) -> tuple[float, float]:
-    """Magnitudes (TM, TE) of the m = 0 term, each >= 0; see zero_frequency_term.
-
-    The TE integrand's TM companion is zero, so the kernel's TM values at
-    p < 1 cannot steer the refinement.
-    """
+    """Magnitudes (TM, TE) of the m = 0 term, each >= 0; see zero_frequency_term."""
     (r1, w1), (r3, w3) = system.mat1.zero_frequency(), system.mat3.zero_frequency()
     tm = polylog3(r1 * r3) / 8.0
     if not (w1 > 0.0 and w3 > 0.0):
         return tm, 0.0
     d = np.array([[(w * system.gap / SPEED_OF_LIGHT) ** 2] for w in (w1, w3)])
-
-    def f(y, rows):
-        te = _mode_parts(y, 1.0, d)[1]
-        return np.zeros_like(te), te
-
-    te = batched_pair_quadrature(f, np.linspace(0.0, _Y_SPAN, _PANELS + 1)[None, :], tol)[1]
+    te = _exp_sinh_ladder(np.zeros(1), d, tol, _static_te_parts)[1]
     return tm, 0.5 * float(te[0])
 
 
@@ -593,7 +598,8 @@ def zero_frequency_term(system: PlateSystem) -> float:
     two metals.  TE is exactly 0 unless both plates are plasma models.  Then,
     with W = omega_TE*a/c, a plate's static TE coefficient at y is the
     kernel's at p = y and eps - 1 = W**2, and TE is -1/2 times the kernel's
-    TE integral over y in [0, 50], at the default quadrature tolerance.
+    TE integral over y >= 0 by the exp-sinh ladder, at the default
+    quadrature tolerance.
     """
     tm, te = _zero_frequency_parts(system, DEFAULT_OPTIONS.quad_tol)
     return -(tm + te)
@@ -687,12 +693,7 @@ def casimir_pressure(
     pressure = -(k_B T / (pi a**3)) * (|I0| + sum_{m>=1} term_m), with I0
     the zero-frequency term (see :func:`zero_frequency_term`; its TE part
     uses ``opts.quad_tol``) and each term_m a batched quadrature (see the
-    module notes): at ``quad_tol`` >= 1e-13 a term with m*gamma >= 1.2 first
-    takes the Gauss-Laguerre rule of its band (GL24 from 1.2, GL16 from 2,
-    GL12 from 3, GL10 from 4) with its embedded error estimate, and a term
-    below that the nested exp-sinh rule; a term whose rule misses its error test, and every
-    term at a tighter ``quad_tol``, takes G7/K15 panels with array-native
-    refinement.
+    module notes for its Gauss-Laguerre and exp-sinh rules).
     Terms accumulate in ascending m with Kahan compensation, so results are
     deterministic bit-for-bit for identical inputs.
 
@@ -701,6 +702,8 @@ def casimir_pressure(
     ConvergenceError
         If the ceiling on m is reached before three consecutive terms fall
         below ``opts.sum_rel_tol`` of the running sum.
+    QuadratureError
+        If a term misses ``opts.quad_tol`` at the finest exp-sinh level.
     """
     return casimir_pressures(system.mat1, system.mat3, [system.gap], thermal, opts)[0]
 

@@ -1,15 +1,12 @@
 """Globally adaptive Gauss-Kronrod quadrature (G7/K15 base rule) on arrays.
 
-The integrand returns a pair (two components integrated on a shared grid,
-error-controlled on their sum), which is what the pressure solver needs to
-keep the TM and TE mode integrals split without doubling the evaluations.
-:func:`kronrod_pair_panels` applies the rule to an array of panels at once;
-:func:`batched_pair_quadrature` bisects, in every integral that still misses
-its tolerance, the panel with the largest estimate, and evaluates all those
-halves in one array call; :func:`adaptive_pair_quadrature` is that loop on
-one scalar integrand.  Up to the order of exact ties, both have the bits of
-the scalar QUADPACK-style heap loop (Piessens et al., *QUADPACK*, 1983) kept
-as the tests' independent oracle in ``tests/quadrature_oracle.py``.
+The pressure solver does not use it.  It stays for the public
+:func:`adaptive_pair_quadrature` (perfbench's tracer wraps it) until ROADMAP
+item 2, and as the tests' vectorised panel reference: :func:`kronrod_pair_panels`
+applies the rule to an array of panels, and :func:`batched_pair_quadrature`
+bisects the worst panel of every pair integral that misses its tolerance, with
+the bits of the scalar heap loop (Piessens et al., *QUADPACK*, 1983) in
+``tests/quadrature_oracle.py``.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ _MAX_PANELS = 4000
 
 
 class QuadratureError(RuntimeError):
-    """Panel budget exhausted before the tolerance was met."""
+    """A quadrature missed its tolerance within its budget of panels or levels."""
 
 
 def kronrod_pair_panels(f, a: np.ndarray, b: np.ndarray):

@@ -41,6 +41,19 @@ def test_only_the_tracer_targets_are_imported_unused():
     assert unused == ["lifshitz.adaptive_pair_quadrature", "scenarios.casimir_pressure"]
 
 
+def test_the_solver_imports_no_panel_quadrature():
+    """The solver's rules are Gauss-Laguerre and exp-sinh: from the G7/K15
+    module it takes only the error its ladder raises and the tracer target."""
+    tree = ast.parse((PACKAGE / "lifshitz.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module == "quadrature"
+        for alias in node.names
+    ]
+    assert sorted(names) == ["QuadratureError", "adaptive_pair_quadrature"]
+
+
 def _modules_loaded_by_the_cli_import(prefix):
     code = f"import sys, casimir_plates.cli; print([m for m in sys.modules if m.startswith({prefix!r})])"
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
