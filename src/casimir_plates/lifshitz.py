@@ -52,7 +52,7 @@ import numpy as np
 
 from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 from .dispersion import Material
-# unused adaptive_pair_quadrature: perfbench's tracer wraps it here until ROADMAP item 2
+# unused adaptive_pair_quadrature: perfbench's tracer wraps it here until ROADMAP item 15
 from .quadrature import QuadratureError, adaptive_pair_quadrature  # noqa: F401
 from .special import polylog3
 

@@ -91,9 +91,14 @@ class SweepSpec:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("need at least one material pair")
+        pairs = tuple(tuple(p) for p in self.pairs)
+        for pair in pairs:
+            if len(pair) != 2 or not all(isinstance(m, Material) for m in pair):
+                names = ", ".join(m.name if isinstance(m, Material) else repr(m) for m in pair)
+                raise ValueError(f"each pair must be two Materials, got ({names})")
         _require_positive("temperatures", self.temperatures)
         _require_positive("gaps", self.gaps)
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "temperatures", tuple(sorted(float(t) for t in self.temperatures)))
         object.__setattr__(self, "gaps", tuple(sorted(float(a) for a in self.gaps)))
 

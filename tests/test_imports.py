@@ -43,7 +43,9 @@ def test_only_the_tracer_targets_are_imported_unused():
 
 def test_the_solver_imports_no_panel_quadrature():
     """The solver's rules are Gauss-Laguerre and exp-sinh: from the G7/K15
-    module it takes only the error its ladder raises and the tracer target."""
+    module it takes only the error its ladder raises and the tracer target,
+    which it never calls, so the scalar loop stays the tests' reference
+    independent of the solver."""
     tree = ast.parse((PACKAGE / "lifshitz.py").read_text(encoding="utf-8"))
     names = [
         alias.name
@@ -52,6 +54,25 @@ def test_the_solver_imports_no_panel_quadrature():
         for alias in node.names
     ]
     assert sorted(names) == ["QuadratureError", "adaptive_pair_quadrature"]
+
+
+def test_the_quadrature_module_imports_only_the_standard_library():
+    """The scalar G7/K15 loop is the one copy of the rule in the package; the
+    vectorised panels on numpy are test code."""
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [
+        "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    assert modules and all(m.split(".")[0] in sys.stdlib_module_names for m in modules), modules
+
+
+def test_the_vectorised_panels_use_the_package_tables():
+    import quadrature_oracle
+    from casimir_plates import quadrature
+
+    for name in ("_XGK", "_WGK", "_WG"):
+        assert getattr(quadrature_oracle, name) is getattr(quadrature, name), name
 
 
 def _modules_loaded_by_the_cli_import(prefix):

@@ -33,11 +33,11 @@ from casimir_plates.lifshitz import (
     matsubara_term,
     zero_frequency_term,
 )
-from casimir_plates.quadrature import QuadratureError, batched_pair_quadrature
+from casimir_plates.quadrature import QuadratureError
 from casimir_plates.scenarios import gap_grid
 from casimir_plates.special import ZETA3
 from conftest import make_table_material
-from quadrature_oracle import adaptive_pair_quadrature
+from quadrature_oracle import adaptive_pair_quadrature, batched_pair_quadrature
 
 # frozen reference values, all from 25 to 40 digit arbitrary-precision evaluations
 REFL_TM_232 = 0.11885878661717955  # eps1=2, eps3=3, p=2

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from casimir_plates.quadrature import (
-    QuadratureError,
-    adaptive_pair_quadrature,
-    batched_pair_quadrature,
-    kronrod_pair_panels,
-)
-from quadrature_oracle import _kronrod_panel, adaptive_pair_quadrature as oracle_quadrature
+from casimir_plates.quadrature import QuadratureError, _kronrod_panel, adaptive_pair_quadrature
+from quadrature_oracle import batched_pair_quadrature, kronrod_pair_panels
 
 
 def _scalar_integral(f, breaks, tol=1e-10):
@@ -98,6 +93,16 @@ def test_rejects_bad_breaks_and_tolerance():
         _scalar_integral(math.sin, [0.0, 1.0], tol=-1e-10)
 
 
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_numpy_scalar_values_are_summed_as_python_floats(scalar):
+    def f(x):
+        return x * x, 1.0 / (1.0 + x)
+
+    got = adaptive_pair_quadrature(lambda x: tuple(map(scalar, f(x))), [0.0, 1.0], 1e-6)
+    assert all(type(x) is float for x in got)
+    assert got == adaptive_pair_quadrature(lambda x: tuple(float(scalar(y)) for y in f(x)), [0.0, 1.0], 1e-6)
+
+
 def test_panel_budget_exhaustion_raises():
     """An unresolvable oscillation must fail loudly, not spin or return junk."""
     f = lambda x: math.sin(5e5 * x)
@@ -123,6 +128,21 @@ def _rational_pair(y, c):
     return 1.0 / (c + y * y), y / (1.0 + (y - c) * (y - c))
 
 
+def _mirrored_pair(y, c, s):
+    # mirror-symmetric about y = s, and rational
+    return 1.0 / (c + (y - s) * (y - s)), 0.0 * y
+
+
+# (c, s, breaks) with breaks symmetric about s: mirrored panels tie in error,
+# where the batch takes the first in column order and the heap the older one
+_MIRRORED = [
+    (1e-4, 0.5, [0.0, 0.5, 1.0]),
+    (1e-4, 0.5, [0.0, 0.25, 0.5, 0.75, 1.0]),
+    (1e-6, 0.0, [-1.0, 0.0, 1.0]),
+    (1e-6, 0.0, [-2.0, -1.0, 1.0, 2.0]),
+]
+
+
 def test_batched_rows_reproduce_the_scalar_loop_bit_for_bit():
     c = np.array([[1e-4], [0.3], [2.0], [50.0]])
     breaks = np.array([np.geomspace(1e-3, 30.0, 13), np.linspace(0.0, 5.0, 13)] * 2)
@@ -131,9 +151,11 @@ def test_batched_rows_reproduce_the_scalar_loop_bit_for_bit():
         u, v = batched_pair_quadrature(lambda y, rows: _rational_pair(y, c[rows]), breaks, tol)
         for i in range(len(c)):
             ci = float(c[i, 0])
-            expected = oracle_quadrature(lambda y: _rational_pair(y, ci), breaks[i], tol)
-            assert (u[i], v[i]) == expected
-            assert adaptive_pair_quadrature(lambda y: _rational_pair(y, ci), breaks[i], tol) == expected
+            assert (u[i], v[i]) == adaptive_pair_quadrature(lambda y: _rational_pair(y, ci), breaks[i], tol)
+    for ci, s, row in _MIRRORED:
+        for tol in (1e-8, 1e-10, 1e-13):
+            u, v = batched_pair_quadrature(lambda y, rows: _mirrored_pair(y, ci, s), np.array([row]), tol)
+            assert (u[0], v[0]) == adaptive_pair_quadrature(lambda y: _mirrored_pair(y, ci, s), row, tol)
 
 
 def test_batched_panel_budget_exhaustion_raises():

@@ -1,6 +1,7 @@
 """Temperature-difference observables, sweeps, grouping, and CSV rendering."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ class TestSweepSpec:
                 SweepSpec(pairs=((au, au),), temperatures=(bad,), gaps=(1e-6,))
             with pytest.raises(ValueError, match="finite"):
                 SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(bad,))
+
+    def test_rejects_a_pair_that_is_not_two_materials(self, au):
+        for pair, shown in (
+            (("Au", "Au"), "('Au', 'Au')"),
+            ((au,), "(Au)"),
+            ((au, au, au), "(Au, Au, Au)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"two Materials, got {shown}")):
+                SweepSpec(pairs=((au, au), pair), temperatures=(300.0,), gaps=(1e-6,))
 
 
 class TestTemperatureDifference:
