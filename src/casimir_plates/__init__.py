@@ -5,13 +5,11 @@ from .dispersion import (
     DrudeParams,
     Material,
     PermittivityTable,
-    PlasmaParams,
     TableError,
     TableRangeError,
     drude_eps,
     load_permittivity_table,
     material_preset,
-    plasma_eps,
     preset_names,
     tabulated_eps,
 )
@@ -31,7 +29,6 @@ from .lifshitz import (
 from .quadrature import QuadratureError, adaptive_pair_quadrature
 from .scenarios import (
     DiffResult,
-    GAP_RANGE,
     PairGroup,
     SweepRow,
     SweepSpec,

@@ -2,9 +2,10 @@
 
 Subcommands: ``pressure`` (one cell), ``sweep`` (grid to CSV/text),
 ``diff`` (two-temperature comparison), ``materials`` (list presets),
-``import-table`` (validate a permittivity CSV).  Exit codes: 0 success,
-1 usage error (a cell over the lifshitz ``TERM_BUDGET`` without ``--m-max``
-counts as one), 2 computation error.
+``import-table`` (validate a permittivity CSV).  Plates are presets,
+``--drude NAME:OMEGA_P:NU`` (NU = 0meV is the plasma model) or ``--table``
+files.  Exit codes: 0 success, 1 usage error (a cell over the lifshitz
+``TERM_BUDGET`` without ``--m-max`` counts as one), 2 computation error.
 """
 
 from __future__ import annotations
@@ -55,15 +56,16 @@ _TEMPERATURE_SCALES = {"K": 1.0, "": 1.0}
 
 
 def _parse_quantity(
-    text: str, kind: str, scales: dict[str, float], example: str, factor: float = 1.0
+    text: str, kind: str, scales: dict[str, float], example: str, factor: float = 1.0,
+    zero_ok: bool = False,
 ) -> float:
     m = re.fullmatch(rf"\s*(.+?)\s*({'|'.join(scales)})\s*", text)
     try:
         value = float(m.group(1)) / scales[m.group(2)] * factor
     except (AttributeError, ValueError):  # no match (m is None), or not a number
         raise _UsageError(f"cannot parse {kind} {text!r}; use e.g. {example}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise _UsageError(f"{kind} must be finite and > 0, got {text!r}")
+    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+        raise _UsageError(f"{kind} must be finite and {'>=' if zero_ok else '>'} 0, got {text!r}")
     return value
 
 
@@ -77,9 +79,9 @@ def parse_temperature(text: str) -> float:
     return _parse_quantity(text, "temperature", _TEMPERATURE_SCALES, "300 or 300K")
 
 
-def parse_energy(text: str) -> float:
-    """'9.0eV' | '35meV' -> rad/s (imaginary-axis angular frequency)."""
-    return _parse_quantity(text, "energy", _ENERGY_SCALES, "9.0eV or 35meV", EV_RAD_PER_S)
+def parse_energy(text: str, zero_ok: bool = False) -> float:
+    """'9.0eV' | '35meV' -> rad/s (imaginary-axis angular frequency); '0meV' only if ``zero_ok``."""
+    return _parse_quantity(text, "energy", _ENERGY_SCALES, "9.0eV or 35meV", EV_RAD_PER_S, zero_ok)
 
 
 def _split(text: str, sep: str, what: str) -> list[str]:
@@ -147,12 +149,12 @@ class RunConfig:
 
 
 def _parse_drude(spec: str, flag: str, named: bool) -> tuple[str, DrudeParams]:
-    """'NAME:OMEGA_P:NU' (``named``) or 'OMEGA_P:NU' -> (name or '', DrudeParams)."""
+    """'NAME:OMEGA_P:NU' (``named``) or 'OMEGA_P:NU' -> (name or '', DrudeParams); NU = 0 is plasma."""
     parts = spec.split(":")
     if len(parts) != 2 + named or (named and not parts[0].strip()):
         form = "NAME:OMEGA_P:NU (e.g. MyAu:9.0eV:35meV)" if named else "OMEGA_P:NU"
         raise _UsageError(f"{flag} must be {form}, got {spec!r}")
-    params = DrudeParams(omega_p=parse_energy(parts[-2]), nu=parse_energy(parts[-1]))
+    params = DrudeParams(omega_p=parse_energy(parts[-2]), nu=parse_energy(parts[-1], zero_ok=True))
     return parts[0].strip() if named else "", params
 
 
@@ -282,7 +284,8 @@ def _add_common(p: _Parser, *, jobs: bool = False) -> None:
         action="append",
         default=[],
         metavar="NAME:OMEGA_P:NU",
-        help="define a custom Drude material, e.g. MyAu:9.0eV:35meV (repeatable)",
+        help="define a custom Drude material, e.g. MyAu:9.0eV:35meV; NU = 0meV is the "
+        "plasma model (repeatable)",
     )
     p.add_argument(
         "--table",
@@ -330,7 +333,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("import-table", help="validate a permittivity CSV")
     p.add_argument("file", help="path to the CSV file")
     p.add_argument("--fallback", default=None, metavar="OMEGA_P:NU",
-                   help="attach a Drude fallback, e.g. 9.0eV:35meV")
+                   help="attach a Drude fallback, e.g. 9.0eV:35meV (0meV: plasma)")
     p.add_argument("--output", default=None, help="write output to a file instead of stdout")
     p.set_defaults(func=_cmd_import_table)
 

@@ -1,9 +1,9 @@
 """Dielectric permittivity along the imaginary frequency axis.
 
-Materials are described by a Drude model, a lossless plasma model, or a
-tabulated set of (zeta, eps) samples interpolated log-log.  All models
-return eps(i*zeta) > 1 for zeta > 0; that is what the reflection layer
-assumes.  Built-in presets cover the common noble-metal choices.
+Materials are described by a Drude model (with nu = 0 the lossless plasma
+model) or a tabulated set of (zeta, eps) samples interpolated log-log.  All
+models return eps(i*zeta) > 1 for zeta > 0; that is what the reflection
+layer assumes.  Built-in presets cover the common noble-metal choices.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from .constants import EV_RAD_PER_S
 
 __all__ = [
     "DrudeParams",
-    "PlasmaParams",
     "PermittivityTable",
     "Material",
     "TableError",
     "TableRangeError",
     "drude_eps",
-    "plasma_eps",
     "tabulated_eps",
     "material_preset",
     "preset_names",
@@ -58,7 +56,7 @@ class DrudeParams:
     """Drude model eps(i zeta) = 1 + omega_p**2 / (zeta * (zeta + nu)).
 
     omega_p is the plasma frequency and nu the relaxation frequency, both
-    angular frequencies in rad/s.
+    angular frequencies in rad/s.  nu = 0 is the lossless plasma model.
     """
 
     omega_p: float
@@ -67,19 +65,8 @@ class DrudeParams:
     def __post_init__(self):
         if not (self.omega_p > 0.0 and np.isfinite(self.omega_p)):
             raise ValueError(f"omega_p must be > 0, got {self.omega_p!r}")
-        if not (self.nu > 0.0 and np.isfinite(self.nu)):
-            raise ValueError(f"nu must be > 0, got {self.nu!r}")
-
-
-@dataclass(frozen=True)
-class PlasmaParams:
-    """Lossless plasma model eps(i zeta) = 1 + (omega_p / zeta)**2."""
-
-    omega_p: float
-
-    def __post_init__(self):
-        if not (self.omega_p > 0.0 and np.isfinite(self.omega_p)):
-            raise ValueError(f"omega_p must be > 0, got {self.omega_p!r}")
+        if not (self.nu >= 0.0 and np.isfinite(self.nu)):
+            raise ValueError(f"nu must be >= 0, got {self.nu!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +75,8 @@ class PermittivityTable:
 
     zeta values must be strictly increasing, every eps must exceed 1 and
     must not increase with zeta, and at least two samples are required.  An
-    optional Drude ``fallback`` extends evaluation outside [zeta_min,
-    zeta_max]; without one an out-of-range query raises
+    optional Drude ``fallback`` (nu = 0 for plasma) extends evaluation
+    outside [zeta_min, zeta_max]; without one an out-of-range query raises
     :class:`TableRangeError`.
     """
 
@@ -140,16 +127,9 @@ class PermittivityTable:
 
 
 def drude_eps(zeta, params: DrudeParams):
-    """Drude permittivity at imaginary frequency zeta (scalar or array)."""
+    """Drude (plasma if nu = 0) permittivity at imaginary frequency zeta (scalar or array)."""
     z = _require_positive_zeta(zeta)
     out = 1.0 + params.omega_p**2 / (z * (z + params.nu))
-    return float(out) if np.isscalar(zeta) else out
-
-
-def plasma_eps(zeta, params: PlasmaParams):
-    """Plasma permittivity at imaginary frequency zeta (scalar or array)."""
-    z = _require_positive_zeta(zeta)
-    out = 1.0 + (params.omega_p / z) ** 2
     return float(out) if np.isscalar(zeta) else out
 
 
@@ -189,36 +169,35 @@ class Material:
     """
 
     name: str
-    model: DrudeParams | PlasmaParams | PermittivityTable
+    model: DrudeParams | PermittivityTable
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("material name must be non-empty")
-        if not isinstance(self.model, (DrudeParams, PlasmaParams, PermittivityTable)):
+        if not isinstance(self.model, (DrudeParams, PermittivityTable)):
             raise TypeError(f"unsupported model type {type(self.model).__name__}")
 
     def eps(self, zeta):
         """Evaluate eps(i zeta); accepts a scalar or an ndarray."""
         if isinstance(self.model, DrudeParams):
             return drude_eps(zeta, self.model)
-        if isinstance(self.model, PlasmaParams):
-            return plasma_eps(zeta, self.model)
         return tabulated_eps(zeta, self.model)
 
     def zero_frequency(self) -> tuple[float, float]:
         """Static (r_TM, omega_TE): the TM reflection coefficient at zeta -> 0
         and the plasma frequency (rad/s) of the static TE reflection, 0 if none.
 
-        Drude, or a table with a Drude fallback: (1, 0).  Plasma: (1, omega_p).
-        A table without fallback: ((e - 1)/(e + 1), 0), e its eps at the lowest knot.
+        Drude, nu > 0: (1, 0).  Plasma, nu = 0: (1, omega_p).  A table answers
+        as its fallback, or ((e - 1)/(e + 1), 0) without one, e its eps at the
+        lowest knot.
         """
         model = self.model
-        if isinstance(model, PlasmaParams):
-            return 1.0, model.omega_p
-        if isinstance(model, PermittivityTable) and model.fallback is None:
-            e = self.eps(model.zeta_min)
-            return (e - 1.0) / (e + 1.0), 0.0
-        return 1.0, 0.0
+        if isinstance(model, PermittivityTable):
+            if model.fallback is None:
+                e = self.eps(model.zeta_min)
+                return (e - 1.0) / (e + 1.0), 0.0
+            model = model.fallback
+        return 1.0, (model.omega_p if model.nu == 0.0 else 0.0)
 
 
 # Drude parameters of the built-in presets, (omega_p in eV, nu in meV).

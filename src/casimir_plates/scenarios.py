@@ -35,7 +35,6 @@ __all__ = [
     "SweepRow",
     "DiffResult",
     "PairGroup",
-    "GAP_RANGE",
     "PRESET_PAIRS",
     "temperature_difference",
     "relative_correction_curve",
@@ -46,8 +45,6 @@ __all__ = [
     "gap_grid",
 ]
 
-#: default gap span covered by sweeps, in metres
-GAP_RANGE = (50e-9, 3e-6)
 _UNIT_TERMS = 4096  # most expected terms in one unit of a sweep: bounds the results it holds
 
 SWEEP_CSV_HEADER = "pair,material_1,material_2,gap_m,temperature_K,pressure_Pa,tm_share,te_share,m_used"
@@ -80,8 +77,7 @@ class SweepSpec:
     """A sweep grid: material pairs x temperatures x gaps.
 
     Gaps and temperatures are sorted ascending at construction; pairs keep
-    their given order.  Gaps outside ``GAP_RANGE`` are allowed but the
-    default grids stay inside it.
+    their given order.
     """
 
     pairs: tuple[tuple[Material, Material], ...]

@@ -18,7 +18,8 @@ from casimir_plates.cli import (
     parse_temperature,
     run,
 )
-from casimir_plates.dispersion import Material, load_permittivity_table, material_preset
+from casimir_plates.constants import EV_RAD_PER_S
+from casimir_plates.dispersion import DrudeParams, Material, load_permittivity_table, material_preset
 from casimir_plates.lifshitz import PlateSystem, ThermalState, casimir_pressure
 
 VALID_TABLE = b"zeta_rad_per_s,eps\n1e12,1e6\n1e14,1e3\n1e16,2.0\n"
@@ -256,6 +257,26 @@ class TestDiff:
         assert run(["sweep", "--pairs", "T,Au"] + common) == 2
         assert capsys.readouterr().err == diff_err
 
+    def test_zero_nu_is_the_plasma_model(self, capsys):
+        code = run(
+            [
+                "diff", "--pair", "P,P", "--drude", "P:9.0eV:0meV", "--gaps", "1um",
+                "--temps", "300,350", "--format", "csv",
+            ]
+        )
+        assert code == 0
+        (row,) = _csv_data_rows(capsys.readouterr().out)
+        plasma = Material("P", DrudeParams(9.0 * EV_RAD_PER_S, 0.0))
+        (ref,) = scenarios.relative_correction_curve(plasma, plasma, [1e-6], 300.0, 350.0)
+        assert row.split(",")[8] == scenarios._fmt(ref.delta)
+        assert ref.delta == pytest.approx(-2.092442e-6, rel=1e-6)  # plasma sign, as in 57d117f
+
+    @pytest.mark.parametrize("spec", ["P:9.0eV:-1meV", "P:9.0eV:nanmeV", "P:0eV:0meV"])
+    def test_bad_drude_parameters_are_usage_errors(self, spec, capsys):
+        argv = ["diff", "--pair", "P,P", "--drude", spec, "--gaps", "1um", "--temps", "300,350"]
+        assert run(argv) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_text_table(self, capsys):
         code = run(["diff", "--pair", "Au,Au", "--gaps", "500nm", "--temps", "300,350"])
         assert code == 0
@@ -426,6 +447,13 @@ class TestImportTable:
         capsys.readouterr()
         assert run(["import-table", str(f), "--fallback", "9.0eV:35meV"]) == 0
         assert "fallback: Drude" in capsys.readouterr().out
+
+    def test_plasma_fallback(self, tmp_path, capsys):
+        f = tmp_path / "table.csv"
+        f.write_bytes(VALID_TABLE)
+        assert run(["import-table", str(f), "--fallback", "9.0eV:0meV"]) == 0
+        assert "fallback: Drude" in capsys.readouterr().out
+        assert run(["import-table", str(f), "--fallback", "9.0eV:-1meV"]) == 1
 
 
 @pytest.mark.skipif(shutil.which("casimir-plates") is None, reason="console script not on PATH")

@@ -12,13 +12,11 @@ from casimir_plates.dispersion import (
     DrudeParams,
     Material,
     PermittivityTable,
-    PlasmaParams,
     TableError,
     TableRangeError,
     drude_eps,
     load_permittivity_table,
     material_preset,
-    plasma_eps,
     preset_names,
     tabulated_eps,
 )
@@ -90,7 +88,7 @@ class TestDrude:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            DrudeParams(omega_p=AU_OMEGA_P, nu=0.0)
+            DrudeParams(omega_p=AU_OMEGA_P, nu=-AU_NU)
         with pytest.raises(ValueError):
             DrudeParams(omega_p=0.0, nu=AU_NU)
         with pytest.raises(ValueError):
@@ -99,20 +97,20 @@ class TestDrude:
 
 class TestPlasma:
     def test_value_at_plasma_frequency_is_two(self):
-        assert plasma_eps(AU_OMEGA_P, PlasmaParams(AU_OMEGA_P)) == 2.0
+        assert drude_eps(AU_OMEGA_P, DrudeParams(AU_OMEGA_P, 0.0)) == 2.0
 
     def test_reference_value(self):
-        eps = plasma_eps(1e14, PlasmaParams(AU_OMEGA_P))
+        eps = drude_eps(1e14, DrudeParams(AU_OMEGA_P, 0.0))
         assert eps == pytest.approx(18690.6241, rel=1e-9)
         assert eps == pytest.approx(1.8690e4, rel=1e-3)
 
     def test_rejects_nonpositive_zeta(self):
         with pytest.raises(ValueError):
-            plasma_eps(0.0, PlasmaParams(AU_OMEGA_P))
+            drude_eps(0.0, DrudeParams(AU_OMEGA_P, 0.0))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PlasmaParams(omega_p=-1.0)
+            DrudeParams(omega_p=-1.0, nu=0.0)
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(
@@ -121,16 +119,16 @@ class TestPlasma:
         st.floats(min_value=1e10, max_value=1e18, allow_nan=False),
     )
     def test_always_above_drude_for_equal_omega_p(self, omega_p, nu, zeta):
-        p = plasma_eps(zeta, PlasmaParams(omega_p))
+        p = drude_eps(zeta, DrudeParams(omega_p, 0.0))
         d = drude_eps(zeta, DrudeParams(omega_p, nu))
         assert p > d > 1.0
 
     def test_models_agree_above_hundred_relaxation_times(self):
         params_d = DrudeParams(AU_OMEGA_P, AU_NU)
-        params_p = PlasmaParams(AU_OMEGA_P)
+        params_p = DrudeParams(AU_OMEGA_P, 0.0)
         for zeta in (100.0 * AU_NU, 300.0 * AU_NU, 1e17):
             d = drude_eps(zeta, params_d)
-            p = plasma_eps(zeta, params_p)
+            p = drude_eps(zeta, params_p)
             assert (p - d) / d < 0.05
 
 
@@ -273,16 +271,18 @@ class TestMaterial:
     def test_metallic_flags(self):
         """Each model's zero-frequency answer (r_TM, omega_TE)."""
         assert material_preset("au").zero_frequency() == (1.0, 0.0)
-        assert Material("pl", PlasmaParams(AU_OMEGA_P)).zero_frequency() == (1.0, AU_OMEGA_P)
+        assert Material("pl", DrudeParams(AU_OMEGA_P, 0.0)).zero_frequency() == (1.0, AU_OMEGA_P)
         r_tm, omega_te = make_table_material().zero_frequency()
         assert r_tm < 1.0 and omega_te == 0.0
         assert make_table_material(fallback=DrudeParams(AU_OMEGA_P, AU_NU)).zero_frequency() == (1.0, 0.0)
+        # a table answers as its fallback: plasma (nu = 0) keeps its static TE mode
+        assert make_table_material(fallback=DrudeParams(AU_OMEGA_P, 0.0)).zero_frequency() == (1.0, AU_OMEGA_P)
 
     def test_eps_dispatch_matches_model_functions(self):
         drude = material_preset("au")
         assert drude.eps(1e14) == drude_eps(1e14, drude.model)
-        plasma = Material("pl", PlasmaParams(AU_OMEGA_P))
-        assert plasma.eps(1e14) == plasma_eps(1e14, plasma.model)
+        plasma = Material("pl", DrudeParams(AU_OMEGA_P, 0.0))
+        assert plasma.eps(1e14) == drude_eps(1e14, plasma.model)
         tab = make_table_material()
         assert tab.eps(1e13) == tabulated_eps(1e13, tab.model)
 

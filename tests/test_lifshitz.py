@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from casimir_plates import lifshitz
 from casimir_plates.constants import BOLTZMANN, SPEED_OF_LIGHT
-from casimir_plates.dispersion import Material, PlasmaParams
+from casimir_plates.dispersion import DrudeParams, Material
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
     TERM_BUDGET,
@@ -287,7 +287,7 @@ class TestMatsubaraTerm:
         assert tm[0] == 0.0
         assert te[0] == 0.0
 
-    def test_panel_budget_exhaustion_raises(self, au):
+    def test_exp_sinh_budget_exhaustion_raises(self, au):
         with pytest.raises(QuadratureError, match=r"missed tol=1e-300 at its last step, 1/48"):
             matsubara_term(1, PlateSystem(au, au, gap=1e-6), ThermalState(1.0), tol=1e-300)
 
@@ -337,7 +337,7 @@ class TestZeroFrequencyTerm:
             return y * y * x / (1.0 - x)
 
         oracle = 0.5 * quad(f, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        plasma = Material("pl", PlasmaParams(W * SPEED_OF_LIGHT / 1e-6))
+        plasma = Material("pl", DrudeParams(W * SPEED_OF_LIGHT / 1e-6, 0.0))
         system = PlateSystem(plasma, plasma, gap=1e-6)
         te = -zero_frequency_term(system) - ZETA3 / 8.0
         assert te == pytest.approx(oracle, abs=1e-10)
@@ -346,7 +346,7 @@ class TestZeroFrequencyTerm:
         assert te == pytest.approx(oracle, rel=1e-11)
 
     def test_te_mode_needs_two_plasma_plates(self, au):
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         drude = zero_frequency_term(PlateSystem(au, au, gap=1e-6))
         assert zero_frequency_term(PlateSystem(plasma, au, gap=1e-6)) == drude
         r = casimir_pressure(PlateSystem(au, plasma, gap=1e-6), ThermalState(300.0))
@@ -492,7 +492,7 @@ class TestCasimirPressure:
 
     def test_plasma_large_gap_doubles_the_classical_limit(self, au):
         """Plasma plates reflect TE at m = 0 too: -zeta(3) k T/(4 pi a**3)."""
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         gap, T = 100e-6, 300.0
         r = casimir_pressure(PlateSystem(plasma, plasma, gap=gap), ThermalState(T))
         classical = -ZETA3 * BOLTZMANN * T / (4.0 * math.pi * gap**3)
@@ -501,7 +501,7 @@ class TestCasimirPressure:
     def test_plasma_thermal_change_is_small(self, au):
         """With its m = 0 TE mode the plasma model barely changes between 1 K
         and 300 K at 1 um (the Drude model loses about 14%)."""
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         system = PlateSystem(plasma, plasma, gap=1e-6)
         cold = casimir_pressure(system, ThermalState(1.0)).abs_pressure
         room = casimir_pressure(system, ThermalState(300.0))
@@ -509,8 +509,8 @@ class TestCasimirPressure:
         assert room.te_terms[0] > 0.0
 
     def test_plasma_plate_swap_is_bit_identical(self, au, cu):
-        p_au = Material("pl Au", PlasmaParams(au.model.omega_p))
-        p_cu = Material("pl Cu", PlasmaParams(cu.model.omega_p))
+        p_au = Material("pl Au", DrudeParams(au.model.omega_p, 0.0))
+        p_cu = Material("pl Cu", DrudeParams(cu.model.omega_p, 0.0))
         fwd = casimir_pressure(PlateSystem(p_au, p_cu, gap=5e-7), ThermalState(300.0))
         rev = casimir_pressure(PlateSystem(p_cu, p_au, gap=5e-7), ThermalState(300.0))
         assert fwd.pressure == rev.pressure
@@ -609,7 +609,7 @@ class TestBatchedKernel:
         """Four of the six preset pairs take the kernel's two-factor path."""
         _assert_terms_match_the_oracle(al, cu, gap, T)
 
-    def test_missed_estimate_returns_the_adaptive_bits(self, au, evaluations):
+    def test_missed_estimate_meets_the_tolerance(self, au, evaluations):
         """A term that climbs the ladder is within the tolerance of the scalar
         adaptive loop run on the production kernel at 1e-15, in TM + TE, TM
         and TE."""
@@ -795,7 +795,7 @@ class TestGaussLaguerrePass:
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_accepted_terms_meet_the_tolerance(self, au, cu, al, evaluations, tol):
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         # cells of a wider scan (8 pairs; 1, 300 and 350 K; 50 nm-3 um) where
         # GL16 and GL24 agreed on a wrong value below the floor: at m*gamma
         # 0.39 and 0.51 (1e-10), 0.63, 0.88 and 0.98 (1e-13), and where the worst
@@ -858,7 +858,7 @@ class TestGaussLaguerrePass:
                 one = _batch_parts(mg[i : i + 1], d[:, i : i + 1], tol)
                 assert (one[0][0], one[1][0]) == (tm[i], te[i])
 
-    def test_tolerances_below_1e13_take_the_panel_path(self, al, monkeypatch, evaluations):
+    def test_tolerances_below_1e13_climb_the_exp_sinh_ladder(self, al, monkeypatch, evaluations):
         # the 753 terms of Al-Al at 72.5 nm and 1 K with m*gamma in [1.2, 1.35],
         # where the worst Gauss-Laguerre term of the floor scan sits
         gamma = ThermalState(1.0).gamma(_SCAN_GAPS[1])
@@ -884,7 +884,7 @@ class TestGaussLaguerrePass:
         assert _climbed(evaluations) == set(mg.tolist())
         assert np.all(np.abs(tm + te - ref) <= bound)
 
-    def test_a_shorter_rule_below_its_band_takes_the_panel_path(self, al, monkeypatch, evaluations):
+    def test_a_shorter_rule_below_its_band_climbs_the_exp_sinh_ladder(self, al, monkeypatch, evaluations):
         """Moved down to the floor, each shorter rule of the ladder is up to
         5.7 (GL16) to 9 800 (GL10) times the tolerance 1e-13 off on the 753
         Al-Al terms above; its embedded estimate sees it, and every term
@@ -921,7 +921,7 @@ class TestExpSinhRule:
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_accepted_terms_meet_the_tolerance(self, au, cu, al, evaluations, tol):
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         # every term below the floor of cells from a scan of 228 368 such terms
         # (8 pairs; 1, 300 and 350 K; 50 nm-3 um): the worst accepted term
         # (plasma-plasma, 3 um, 1 K, m = 1, m*gamma 0.008: 0.5 times the
@@ -951,7 +951,7 @@ class TestExpSinhRule:
         assert total == 1802
         assert accepted >= 0.9 * total
 
-    def test_a_missed_estimate_takes_the_panel_path(self, al, cu, monkeypatch, evaluations):
+    def test_a_missed_estimate_climbs_the_exp_sinh_ladder(self, al, cu, monkeypatch, evaluations):
         # step 1/12 tested by |S_12 - S_6| instead of its square, as below
         # quad_tol 1e-13: S_6 is far from 1e-10, so every term misses, climbs
         # to step 1/24 and meets the tolerance there
@@ -962,6 +962,34 @@ class TestExpSinhRule:
         tm, te = _batch_parts(mg, d, 1e-10)
         assert set(evaluations.values()) == {2}
         assert np.all(np.abs(tm + te - ref) <= np.maximum(1e-10, 1e-10 * ref))
+
+
+# the validity map's grid: a term depends only on m*gamma and each plate's
+# d = eps - 1, so these points cover every material's terms in that range
+_MAP_MG = np.array([0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0, 10.0, 20.0])
+_MAP_D = 10.0 ** np.arange(-8, 31)
+
+
+@pytest.fixture(scope="module")
+def validity_map():
+    """(mg, d, reference) batches over _MAP_MG x every (d1, d3) from _MAP_D:
+    equal plates as one row, unequal plates as two (10 920 terms)."""
+    n, k = len(_MAP_D), len(_MAP_MG)
+    i, j = np.triu_indices(n, k=1)
+    equal = (np.repeat(_MAP_MG, n), np.tile(_MAP_D, k)[None])
+    unequal = (np.repeat(_MAP_MG, len(i)), np.stack([np.tile(_MAP_D[i], k), np.tile(_MAP_D[j], k)]))
+    return [(mg, d, _panel_reference(mg, d)) for mg, d in (equal, unequal)]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_every_term_of_the_validity_map_meets_the_tolerance(validity_map, tol):
+    """Gauss-Laguerre terms and exp-sinh terms, kept at their first rule or
+    climbed, all within max(tol, tol*|I|) of the panels at 1e-15, unequal
+    plates and d up to 1e30 included."""
+    assert sum(mg.size for mg, _, _ in validity_map) == 10920
+    for mg, d, ref in validity_map:
+        tm, te = _batch_parts(mg, d, tol)
+        assert np.all(np.abs(tm + te - ref) <= np.maximum(tol, tol * np.abs(ref)))
 
 
 class TestTermBudget:
@@ -983,7 +1011,7 @@ class TestTermBudget:
     def test_refuses_before_the_first_batch(self, au, stub_kernel, gap, T, terms, model):
         th = ThermalState(T)
         assert expected_terms(gap, th) == pytest.approx(terms, rel=0.01)
-        plate = au if model == "drude" else Material("pl", PlasmaParams(au.model.omega_p))
+        plate = au if model == "drude" else Material("pl", DrudeParams(au.model.omega_p, 0.0))
         with pytest.raises(TermBudgetError, match="m_max"):
             casimir_pressure(PlateSystem(plate, plate, gap=gap), th)
         with pytest.raises(TermBudgetError):
@@ -1048,7 +1076,7 @@ class TestCasimirPressures:
         materials = {
             "Au": au,
             "Cu": cu,
-            "plasma": Material("pl", PlasmaParams(au.model.omega_p)),
+            "plasma": Material("pl", DrudeParams(au.model.omega_p, 0.0)),
             "table": make_table_material(zeta=knots, eps=au.eps(knots), fallback=au.model),
         }
         m1, m3 = (materials[n] for n in plates.split("-")) if "-" in plates else (materials[plates],) * 2

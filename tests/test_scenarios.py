@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from casimir_plates.constants import BOLTZMANN
-from casimir_plates.dispersion import Material, PlasmaParams, TableRangeError
+from casimir_plates.dispersion import DrudeParams, Material, TableRangeError
 from casimir_plates import lifshitz, scenarios
 from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure, expected_terms
 from casimir_plates.scenarios import (
     DIFF_CSV_HEADER,
-    GAP_RANGE,
     SWEEP_CSV_HEADER,
     SweepSpec,
     _worker_count,
@@ -53,11 +52,6 @@ class TestGapGrid:
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
             gap_grid(*args)
-
-    def test_default_range_is_sane(self):
-        lo, hi = GAP_RANGE
-        assert lo == 50e-9
-        assert hi == 3e-6
 
 
 class TestSweepSpec:
@@ -148,7 +142,7 @@ class TestRelativeCorrectionCurve:
     @pytest.fixture
     def prescriptions(self, au):
         """The 300 -> 350 K curve of Au-Au under the Drude and plasma models."""
-        plasma = Material("pl", PlasmaParams(au.model.omega_p))
+        plasma = Material("pl", DrudeParams(au.model.omega_p, 0.0))
         gaps = [1e-6, 2e-5, 1e-4]
         return {
             "drude": relative_correction_curve(au, au, gaps, 300.0, 350.0),
