@@ -264,18 +264,19 @@ def _cmd_materials(args) -> str:
 def _cmd_import_table(args) -> str:
     fallback = _parse_drude(args.fallback, "--fallback", named=False)[1] if args.fallback else None
     table = load_permittivity_table(args.file, fallback=fallback)
+    model = "none (queries outside range fail)" if fallback is None else "plasma" if fallback.nu == 0.0 else "Drude"
     lines = [
         f"table ok: {args.file}",
         f"samples: {table.zeta.size}",
         f"zeta range: {table.zeta_min:.6g} .. {table.zeta_max:.6g} rad/s",
         f"eps range: {table.eps.min():.6g} .. {table.eps.max():.6g}",
-        f"fallback: {'Drude' if table.fallback else 'none (queries outside range fail)'}",
+        f"fallback: {model}",
     ]
     return "\n".join(lines) + "\n"
 
 
 def _add_common(p: _Parser, *, jobs: bool = False) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="per-term quadrature tolerance")
+    p.add_argument("--tol", type=float, default=SolverOptions.quad_tol, help="per-term quadrature tolerance")
     p.add_argument("--m-max", type=int, default=None, help="override the Matsubara sum ceiling")
     p.add_argument("--format", choices=("text", "csv"), default="text", help="output format")
     p.add_argument("--output", default=None, help="write output to a file instead of stdout")

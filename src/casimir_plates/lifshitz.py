@@ -22,17 +22,17 @@ that each thread keeps between passes, instead of faulting in freshly zeroed
 pages every pass.  In t = y - m*gamma the integrand is e^(-2t) times a
 smooth function, so two families of fixed rules take every term.  At
 quad_tol >= 1e-13 a term with m*gamma >= 1.2 takes the Gauss-Laguerre rule
-for that weight of its band, GL24 from 1.2, GL16 from 2, GL12 from 3 and
-GL10 from 4, and keeps it when |GL_n - E_k| meets the quadrature tolerance,
-E_k being the interpolatory rule on GL_n's first k nodes (E17, E13, E10 and
-E9; the README's "Numerical notes" give the scan).  Below the floor of 1.2
+for that weight of its band, GL24 from 1.2, GL16 from 2 and GL10 from 4,
+and keeps it when |GL_n - E_k| meets the quadrature tolerance, E_k being
+the interpolatory rule on GL_n's first k nodes (E17, E13 and E9; the
+README's "Numerical notes" give the scan).  Below the floor of 1.2
 a rule and its estimate can agree on a wrong value, so those terms, every
 term that misses its test and every term at quad_tol < 1e-13 climb the
 levels of the exp-sinh rule (:func:`_exp_sinh_ladder`), whose doubly
 exponential crowding near t = 0 resolves the scale m*gamma on which the
 reflection coefficients turn there.  At default settings no term of the
 standard sweep or of the 1 K anchor cells misses its first rule, and the
-kernel averages 24.2 points per summed term at 100 nm and 1 K (29.3 at
+kernel averages 24.8 points per summed term at 100 nm and 1 K (29.9 at
 quad_tol 1e-13, 150.0 at 1e-14).
 The sum runs in ascending m with Kahan compensation and truncates
 once three consecutive terms each contribute less than 1e-9 of the running
@@ -137,8 +137,7 @@ _E17 = (
 )
 # the ladder's shorter rules, each with the embedded rule on its own first
 # nodes, solved the same way (60-digit roots of L_n and 60-digit moment
-# solves; every embedded weight is positive): GL16 with E13, GL12 with E10,
-# GL10 with E9
+# solves; every embedded weight is positive): GL16 with E13, GL10 with E9
 _GL16 = (
     (0.08764941047892784, 0.22503631486424724),
     (0.46269632891508083, 0.5258360527623425),
@@ -172,32 +171,6 @@ _E13 = (
     4.595967673576401,
     6.16684384446312,
 )
-_GL12 = (
-    (0.11572211735802068, 0.2972096360444108),
-    (0.6117574845151307, 0.6964629804305972),
-    (1.5126102697764188, 1.1077813946157522),
-    (2.8337513377435073, 1.5384642390428291),
-    (4.5992276394183484, 1.9983276062742428),
-    (6.844525453115177, 2.5007457691008668),
-    (9.621316842456867, 3.0653215182823863),
-    (13.006054993306348, 3.7232891107827717),
-    (17.116855187462257, 4.529814029981735),
-    (22.151090379397004, 5.597258461835321),
-    (28.487967250984, 7.212995460925877),
-    (37.09912104446692, 10.543837461910082),
-)
-_E10 = (
-    0.29720935634313594,
-    0.696464225009444,
-    1.107777618039696,
-    1.5384755924730977,
-    1.998289815196517,
-    2.5008932611929238,
-    3.0646169809225134,
-    3.7275865600470617,
-    4.494627554712772,
-    6.008904222467706,
-)
 _GL10 = (
     (0.13779347054049243, 0.3540097386069963),
     (0.7294545495031705, 0.8319023010435808),
@@ -230,11 +203,11 @@ _GL_FLOOR = 1.2
 # weights w*exp(x)/2, which absorb the integrand's e^(-2t)).  A rule's own
 # weights come first, then its embedded rule's on its first points.  The band
 # edges go by relative error, which the per-term tests hold to 1e-11: GL16
-# from 1.2 reads 1.5e-10 there, and GL10 from 3 reads 5e-11; see the README
-# for the scan
+# from 1.2 reads 1.5e-10 there, and GL10 from 3 reads 4.4e-11 in the README's
+# scan, where GL16 reads 2e-14 on m*gamma 3 to 4
 _GL_LADDER = tuple(
     (lowest, np.array([x for x, _ in gl])[:, None] / 2.0, np.array([*(w for _, w in gl), *e])[:, None] / 2.0)
-    for lowest, gl, e in ((_GL_FLOOR, _GL24, _E17), (2.0, _GL16, _E13), (3.0, _GL12, _E10), (4.0, _GL10, _E9))
+    for lowest, gl, e in ((_GL_FLOOR, _GL24, _E17), (2.0, _GL16, _E13), (4.0, _GL10, _E9))
 )
 
 

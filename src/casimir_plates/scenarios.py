@@ -258,28 +258,32 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
         return _assemble(units, pool.map(_evaluate_unit, units))
 
 
-def _metadata_lines(opts: SolverOptions) -> list[str]:
-    return [
-        f"# solver: quad_tol={opts.quad_tol:g} sum_rel_tol={opts.sum_rel_tol:g} "
-        f"sum_consecutive={SUM_CONSECUTIVE} m_max={opts.m_max}",
-        f"# constants: hbar={HBAR:.9e} J*s c={SPEED_OF_LIGHT:.9e} m/s k_B={BOLTZMANN:.6e} J/K",
-        "# pressure columns hold |F| in Pa; the force is attractive",
-    ]
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+def _csv(opts: SolverOptions, header: str, rows, notes=()) -> str:
+    """CSV text: the metadata #-lines, ``notes``, ``header``, then one line per
+    row of fields, strings as they are and numbers to 12 significant digits."""
+    lines = [
+        f"# solver: quad_tol={opts.quad_tol:g} sum_rel_tol={opts.sum_rel_tol:g} "
+        f"sum_consecutive={SUM_CONSECUTIVE} m_max={opts.m_max}",
+        f"# constants: hbar={HBAR:.9e} J*s c={SPEED_OF_LIGHT:.9e} m/s k_B={BOLTZMANN:.6e} J/K",
+        "# pressure columns hold |F| in Pa; the force is attractive",
+        *notes,
+        header,
+    ]
+    lines += [",".join([x if isinstance(x, str) else _fmt(x) for x in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def sweep_rows_to_csv(rows: list[SweepRow], opts: SolverOptions = DEFAULT_OPTIONS) -> str:
     """Render sweep rows as CSV text (12 significant digits, metadata in #-lines)."""
-    lines = _metadata_lines(opts) + [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.pair},{r.material_1},{r.material_2},{_fmt(r.gap)},{_fmt(r.temperature)},"
-            f"{_fmt(r.pressure)},{_fmt(r.tm_share)},{_fmt(r.te_share)},{r.m_used}"
-        )
-    return "\n".join(lines) + "\n"
+    fields = (
+        (r.pair, r.material_1, r.material_2, r.gap, r.temperature, r.pressure, r.tm_share, r.te_share, str(r.m_used))
+        for r in rows
+    )
+    return _csv(opts, SWEEP_CSV_HEADER, fields)
 
 
 def diff_results_to_csv(
@@ -289,16 +293,9 @@ def diff_results_to_csv(
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> str:
     """Render temperature-difference results as CSV text."""
-    pair = _pair_label(mat1, mat3)
-    lines = _metadata_lines(opts)
-    lines.append("# relative = delta / pressure at T_low")
-    lines.append(DIFF_CSV_HEADER)
-    for r in results:
-        lines.append(
-            f"{pair},{mat1.name},{mat3.name},{_fmt(r.a)},{_fmt(r.T_low)},{_fmt(r.T_high)},"
-            f"{_fmt(r.f_low_T)},{_fmt(r.f_high_T)},{_fmt(r.delta)},{_fmt(r.relative)}"
-        )
-    return "\n".join(lines) + "\n"
+    labels = (_pair_label(mat1, mat3), mat1.name, mat3.name)
+    fields = ((*labels, r.a, r.T_low, r.T_high, r.f_low_T, r.f_high_T, r.delta, r.relative) for r in results)
+    return _csv(opts, DIFF_CSV_HEADER, fields, ["# relative = delta / pressure at T_low"])
 
 
 #: the six preset pairs, in the order ``sweep --pairs all`` lists them

@@ -41,10 +41,12 @@ def make_table_material(
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    # echo the per-criterion verdict lines collected by the acceptance module
-    mod = sys.modules.get("test_acceptance")
-    lines = getattr(mod, "CRITERION_LINES", None) if mod else None
+    # echo the per-criterion verdict lines collected by the acceptance module,
+    # then the anchor grid's kernel counters collected by the lifshitz module
+    criteria = getattr(sys.modules.get("test_acceptance"), "CRITERION_LINES", {})
+    lines = [criteria[n] for n in sorted(criteria)]
+    lines += getattr(sys.modules.get("test_lifshitz"), "COUNTER_LINES", [])
     if lines:
         terminalreporter.section("acceptance criteria")
-        for n in sorted(lines):
-            terminalreporter.write_line(lines[n])
+        for line in lines:
+            terminalreporter.write_line(line)

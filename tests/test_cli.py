@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from casimir_plates import scenarios
 from casimir_plates.cli import (
     RunConfig,
+    build_parser,
     parse_energy,
     parse_gaps,
     parse_length,
@@ -20,7 +21,7 @@ from casimir_plates.cli import (
 )
 from casimir_plates.constants import EV_RAD_PER_S
 from casimir_plates.dispersion import DrudeParams, Material, load_permittivity_table, material_preset
-from casimir_plates.lifshitz import PlateSystem, ThermalState, casimir_pressure
+from casimir_plates.lifshitz import PlateSystem, SolverOptions, ThermalState, casimir_pressure
 
 VALID_TABLE = b"zeta_rad_per_s,eps\n1e12,1e6\n1e14,1e3\n1e16,2.0\n"
 
@@ -65,6 +66,17 @@ class TestParsers:
         grid = parse_gaps("50nm:200nm:log:3")
         assert grid == pytest.approx([50e-9, 100e-9, 200e-9], rel=1e-12)
         assert parse_gaps("50nm:3um:log:60") == list(np.geomspace(50e-9, 3e-6, 60))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pressure", "--pair", "Au,Au", "--gap", "1um", "--temp", "300"],
+            ["sweep", "--pairs", "all", "--gaps", "1um", "--temps", "300"],
+            ["diff", "--pair", "Au,Au", "--gaps", "1um", "--temps", "300,350"],
+        ],
+    )
+    def test_tol_defaults_to_the_solver_default(self, argv):
+        assert build_parser().parse_args(argv).tol == SolverOptions().quad_tol
 
 
 class TestHelp:
@@ -452,7 +464,7 @@ class TestImportTable:
         f = tmp_path / "table.csv"
         f.write_bytes(VALID_TABLE)
         assert run(["import-table", str(f), "--fallback", "9.0eV:0meV"]) == 0
-        assert "fallback: Drude" in capsys.readouterr().out
+        assert "fallback: plasma" in capsys.readouterr().out
         assert run(["import-table", str(f), "--fallback", "9.0eV:-1meV"]) == 1
 
 
