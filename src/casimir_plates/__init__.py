@@ -18,7 +18,6 @@ from .lifshitz import (
     PlateSystem,
     PressureResult,
     SolverOptions,
-    SummationInfo,
     TermBudgetError,
     ThermalState,
     casimir_pressure,
@@ -26,7 +25,7 @@ from .lifshitz import (
     matsubara_term,
     zero_frequency_term,
 )
-from .quadrature import QuadratureError, adaptive_pair_quadrature
+from .quadrature import QuadratureError
 from .scenarios import (
     DiffResult,
     PairGroup,

@@ -60,7 +60,6 @@ __all__ = [
     "PlateSystem",
     "ThermalState",
     "SolverOptions",
-    "SummationInfo",
     "PressureResult",
     "ConvergenceError",
     "TermBudgetError",
@@ -523,11 +522,40 @@ def _eps_minus_one(mat1: Material, mat3: Material, m: np.ndarray, zeta: np.ndarr
     return d1[None] if mat3 == mat1 else np.stack([d1, plate(mat3, "mat3")])
 
 
+@dataclass(frozen=True)
+class SolverOptions:
+    """Tunables of the pressure solver.
+
+    quad_tol : per-term quadrature tolerance (absolute-or-relative).
+    sum_rel_tol : the Matsubara sum stops after ``SUM_CONSECUTIVE`` (3)
+        successive terms each below ``sum_rel_tol`` times the running sum.
+    m_max : optional override of the default ceiling on m (see the module
+        notes).
+    """
+
+    quad_tol: float = 1e-10
+    sum_rel_tol: float = 1e-9
+    m_max: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.quad_tol < 1.0:
+            raise ValueError(f"quad_tol must be in (0, 1), got {self.quad_tol!r}")
+        if not 0.0 < self.sum_rel_tol < 1.0:
+            raise ValueError(f"sum_rel_tol must be in (0, 1), got {self.sum_rel_tol!r}")
+        if self.m_max is not None:
+            if isinstance(self.m_max, bool) or not isinstance(self.m_max, (int, np.integer)) or self.m_max < 1:
+                raise ValueError(f"m_max must be an integer >= 1, got {self.m_max!r}")
+            object.__setattr__(self, "m_max", int(self.m_max))
+
+
+DEFAULT_OPTIONS = SolverOptions()
+
+
 def matsubara_term(
     m: int,
     system: PlateSystem,
     thermal: ThermalState,
-    tol: float = 1e-10,
+    tol: float = SolverOptions.quad_tol,
 ) -> float:
     """Dimensionless integral of Matsubara term m >= 1 (TM plus TE).
 
@@ -578,43 +606,6 @@ def zero_frequency_term(system: PlateSystem) -> float:
     return -(tm + te)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables of the pressure solver.
-
-    quad_tol : per-term quadrature tolerance (absolute-or-relative).
-    sum_rel_tol : the Matsubara sum stops after ``SUM_CONSECUTIVE`` (3)
-        successive terms each below ``sum_rel_tol`` times the running sum.
-    m_max : optional override of the default ceiling on m (see the module
-        notes).
-    """
-
-    quad_tol: float = 1e-10
-    sum_rel_tol: float = 1e-9
-    m_max: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.quad_tol < 1.0:
-            raise ValueError(f"quad_tol must be in (0, 1), got {self.quad_tol!r}")
-        if not 0.0 < self.sum_rel_tol < 1.0:
-            raise ValueError(f"sum_rel_tol must be in (0, 1), got {self.sum_rel_tol!r}")
-        if self.m_max is not None:
-            if isinstance(self.m_max, bool) or not isinstance(self.m_max, (int, np.integer)) or self.m_max < 1:
-                raise ValueError(f"m_max must be an integer >= 1, got {self.m_max!r}")
-            object.__setattr__(self, "m_max", int(self.m_max))
-
-
-DEFAULT_OPTIONS = SolverOptions()
-
-
-@dataclass(frozen=True)
-class SummationInfo:
-    """How the Matsubara sum was cut off."""
-
-    gamma: float
-    m_ceiling: int
-
-
 @dataclass(frozen=True, eq=False)
 class PressureResult:
     """Pressure in Pa (negative = attractive) plus per-term diagnostics.
@@ -622,14 +613,16 @@ class PressureResult:
     ``tm_terms``/``te_terms`` are aligned arrays, row m for Matsubara index
     m = 0 .. m_used; the term magnitudes are positive contributions to
     |pressure| in Pa.  The m = 0 TE entry is exactly 0 except for two
-    plasma plates.
+    plasma plates.  ``gamma`` is the cell's 2 pi a k_B T / (hbar c) and
+    ``m_ceiling`` the ceiling on m the sum ran under.
     """
 
     pressure: float
     m_used: int
     tm_terms: np.ndarray
     te_terms: np.ndarray
-    info: SummationInfo
+    gamma: float
+    m_ceiling: int
 
     @property
     def abs_pressure(self) -> float:
@@ -711,10 +704,16 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
     te_chunks = []
     below = 0
     used = 0
-    converged = False
-    last_relative = math.inf
     m = 1
-    while m <= m_ceiling and not converged:
+    while below < SUM_CONSECUTIVE:
+        if m > m_ceiling:
+            share = term / total  # of the last term summed
+            raise ConvergenceError(
+                f"Matsubara sum reached its ceiling m = {m_ceiling} without meeting the "
+                f"truncation rule (last term contributed {share:.3e} of the sum); raise m_max",
+                m_ceiling=m_ceiling,
+                last_relative=share,
+            )
         size = min(max(target + 1 - m, extra), cap)
         chunk = np.arange(m, min(m + size, m_ceiling + 1))
         tm_c, te_c = yield chunk, chunk * gamma
@@ -726,32 +725,20 @@ def _matsubara_sum(system: PlateSystem, thermal: ThermalState, opts: SolverOptio
             comp = (t - total) - y
             total = t
             used += 1
-            last_relative = term / total
-            if term <= opts.sum_rel_tol * total:
-                below += 1
-                if below >= SUM_CONSECUTIVE:
-                    converged = True
-                    break
-            else:
-                below = 0
+            below = below + 1 if term <= opts.sum_rel_tol * total else 0
+            if below == SUM_CONSECUTIVE:
+                break
         m = int(chunk[-1]) + 1
         if m > target:
             extra *= 2
-
-    if not converged:
-        raise ConvergenceError(
-            f"Matsubara sum reached its ceiling m = {m_ceiling} without meeting the "
-            f"truncation rule (last term contributed {last_relative:.3e} of the sum); raise m_max",
-            m_ceiling=m_ceiling,
-            last_relative=last_relative,
-        )
 
     return PressureResult(
         pressure=-prefactor * total,
         m_used=used,
         tm_terms=np.concatenate([[prefactor * i0_tm], prefactor * np.concatenate(tm_chunks)[:used]]),
         te_terms=np.concatenate([[prefactor * i0_te], prefactor * np.concatenate(te_chunks)[:used]]),
-        info=SummationInfo(gamma=gamma, m_ceiling=m_ceiling),
+        gamma=gamma,
+        m_ceiling=m_ceiling,
     )
 
 

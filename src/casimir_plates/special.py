@@ -44,8 +44,6 @@ def polylog3(z: float) -> float:
     z = float(z)
     if not np.isfinite(z) or z < 0.0 or z > 1.0:
         raise ValueError(f"polylog3 requires 0 <= z <= 1, got {z!r}")
-    if z == 0.0:
-        return 0.0
     if z == 1.0:
         return ZETA3
 

@@ -42,7 +42,8 @@ def make_table_material(
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # echo the per-criterion verdict lines collected by the acceptance module,
-    # then the anchor grid's kernel counters collected by the lifshitz module
+    # then the kernel counters of the anchor grid and the standard sweep
+    # collected by the lifshitz module
     criteria = getattr(sys.modules.get("test_acceptance"), "CRITERION_LINES", {})
     lines = [criteria[n] for n in sorted(criteria)]
     lines += getattr(sys.modules.get("test_lifshitz"), "COUNTER_LINES", [])

@@ -1,5 +1,6 @@
 """Reflection products, the integrand kernel, Matsubara terms, and the pressure sum."""
 
+import inspect
 import math
 import pickle
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from casimir_plates import lifshitz
 from casimir_plates.constants import BOLTZMANN, SPEED_OF_LIGHT
-from casimir_plates.dispersion import DrudeParams, Material
+from casimir_plates.dispersion import DrudeParams, Material, material_preset
 from casimir_plates.lifshitz import (
     DEFAULT_OPTIONS,
     TERM_BUDGET,
@@ -34,7 +35,7 @@ from casimir_plates.lifshitz import (
     zero_frequency_term,
 )
 from casimir_plates.quadrature import QuadratureError
-from casimir_plates.scenarios import gap_grid
+from casimir_plates.scenarios import PRESET_PAIRS, SweepSpec, gap_grid, sweep
 from casimir_plates.special import ZETA3
 from conftest import make_table_material
 from quadrature_oracle import adaptive_pair_quadrature, batched_pair_quadrature
@@ -244,6 +245,9 @@ class TestMatsubaraTerm:
         with pytest.raises(ValueError):
             matsubara_term(0, system, ThermalState(300.0))
 
+    def test_tol_defaults_to_the_solver_default(self):
+        assert inspect.signature(matsubara_term).parameters["tol"].default == SolverOptions().quad_tol
+
     def test_first_term_reference_value(self, au):
         term = matsubara_term(1, PlateSystem(au, au, gap=1e-6), ThermalState(300.0))
         assert term == pytest.approx(TERM1_AU_1UM_300K, rel=1e-10)
@@ -403,11 +407,11 @@ class TestCasimirPressure:
         expected_ceiling = math.ceil(
             10.0 * 1.054571817e-34 * 2.99792458e8 / (2.0 * 1e-6 * 1.380649e-23 * 300.0)
         )
-        assert r.info.m_ceiling == expected_ceiling
-        assert r.m_used <= r.info.m_ceiling
+        assert r.m_ceiling == expected_ceiling
+        assert r.m_used <= r.m_ceiling
         # a numpy integer m_max is stored as a Python int
         r = casimir_pressure(PlateSystem(au, au, gap=1e-6), ThermalState(300.0), SolverOptions(m_max=np.int64(40)))
-        assert r.info.m_ceiling == 40 and type(r.info.m_ceiling) is int
+        assert r.m_ceiling == 40 and type(r.m_ceiling) is int
 
     def test_material_swap_is_bit_identical(self, au, cu):
         r1 = casimir_pressure(PlateSystem(au, cu, gap=2e-7), ThermalState(300.0))
@@ -488,7 +492,7 @@ class TestCasimirPressure:
         r = casimir_pressure(PlateSystem(au, au, gap=gap), ThermalState(T))
         classical = -ZETA3 * BOLTZMANN * T / (8.0 * math.pi * gap**3)
         assert r.pressure == pytest.approx(classical, rel=1e-6)
-        assert r.m_used <= r.info.m_ceiling
+        assert r.m_used <= r.m_ceiling
 
     def test_plasma_large_gap_doubles_the_classical_limit(self, au):
         """Plasma plates reflect TE at m = 0 too: -zeta(3) k T/(4 pi a**3)."""
@@ -592,8 +596,8 @@ def _assert_terms_match_the_oracle(mat1, mat3, gap, T):
     for m in sample:
         zeta = th.zeta(int(m))
         d1, d3 = float(mat1.eps(zeta)) - 1.0, float(mat3.eps(zeta)) - 1.0
-        tm, te = oracle_parts(int(m) * r.info.gamma, d1, d3=d3)
-        tm, te = oracle_parts(int(m) * r.info.gamma, d1, tol=1e-13 * min(1.0, tm + te), d3=d3)
+        tm, te = oracle_parts(int(m) * r.gamma, d1, d3=d3)
+        tm, te = oracle_parts(int(m) * r.gamma, d1, tol=1e-13 * min(1.0, tm + te), d3=d3)
         worst = max(worst, abs(r.tm_terms[m] / prefactor / tm - 1.0))
         worst = max(worst, abs(r.te_terms[m] / prefactor / te - 1.0))
     assert worst <= 1e-11
@@ -723,16 +727,15 @@ class TestBatchedKernel:
             assert term == pytest.approx(matsubara_term(m, system, th), rel=1e-14)
 
 
-# the anchor grid's kernel counters, echoed by conftest.py's terminal summary
+# the kernel counters of the anchor grid and of the standard sweep, echoed by
+# conftest.py's terminal summary
 COUNTER_LINES: list[str] = []
 _ANCHOR_GAPS = (5e-8, 1e-7, 2e-7, 5e-7, 1e-6, 3e-6)
 
 
-def test_anchor_grid_kernel_counters(au, monkeypatch):
-    """Kernel calls and points per summed term of the 12 Au-Au anchor cells
-    (50 nm-3 um at 1 K and 300 K), recorded before the check.  Each round of
-    a cell makes one call for each rule its terms take, so the 300 K cells
-    make 6, 5, 5, 4, 4 and 2 calls with three Gauss-Laguerre rules."""
+def _counting_kernel(monkeypatch) -> list[int]:
+    """Wrap lifshitz._mode_parts to count its calls and points into the
+    returned [calls, points]."""
     counts = [0, 0]
     kernel_parts = lifshitz._mode_parts
 
@@ -742,6 +745,15 @@ def test_anchor_grid_kernel_counters(au, monkeypatch):
         return kernel_parts(y, mg, d)
 
     monkeypatch.setattr(lifshitz, "_mode_parts", counting)
+    return counts
+
+
+def test_anchor_grid_kernel_counters(au, monkeypatch):
+    """Kernel calls and points per summed term of the 12 Au-Au anchor cells
+    (50 nm-3 um at 1 K and 300 K), recorded before the check.  Each round of
+    a cell makes one call for each rule its terms take, so the 300 K cells
+    make 6, 5, 5, 4, 4 and 2 calls with three Gauss-Laguerre rules."""
+    counts = _counting_kernel(monkeypatch)
     calls, per_term = {}, {}
     for T in (1.0, 300.0):
         for a in _ANCHOR_GAPS:
@@ -756,6 +768,24 @@ def test_anchor_grid_kernel_counters(au, monkeypatch):
     COUNTER_LINES.append(line)
     print(line)
     assert all(calls[300.0, a] <= bound for a, bound in zip(_ANCHOR_GAPS, (6, 5, 5, 4, 4, 2)))
+
+
+def test_standard_sweep_kernel_counters(monkeypatch):
+    """Kernel calls and points of the standard sweep (the six preset pairs,
+    60 log-spaced gaps from 50 nm to 3 um, 300 K and 350 K) at jobs=1,
+    recorded before the check: 720 cells of 39 424 summed terms take 117
+    calls and 803 566 points."""
+    counts = _counting_kernel(monkeypatch)
+    pairs = tuple((material_preset(a), material_preset(b)) for a, b in PRESET_PAIRS)
+    rows = sweep(SweepSpec(pairs=pairs, temperatures=(300.0, 350.0), gaps=tuple(_SWEEP_GAPS)), jobs=1)
+    terms = sum(r.m_used for r in rows)
+    line = (
+        f"standard sweep kernel counters: {len(rows)} cells, {terms} terms summed, {counts[0]} kernel calls, "
+        f"{counts[1]} kernel points ({counts[1] / terms:.1f} per summed term)"
+    )
+    COUNTER_LINES.append(line)
+    print(line)
+    assert counts[0] <= 117 and counts[1] <= 803_566
 
 
 def _term_inputs(mat1, mat3, gap, T, ms):
@@ -1120,7 +1150,7 @@ class TestCasimirPressures:
         for b, s in zip(batched, single):
             assert b.pressure == s.pressure
             assert b.m_used == s.m_used
-            assert b.info == s.info
+            assert (b.gamma, b.m_ceiling) == (s.gamma, s.m_ceiling)
             assert np.array_equal(b.tm_terms, s.tm_terms)
             assert np.array_equal(b.te_terms, s.te_terms)
         if plates == "plasma":
@@ -1134,7 +1164,7 @@ class TestCasimirPressures:
         r = casimir_pressure(PlateSystem(au, au, gap=1e-7), th)
         n = expected_terms(1e-7, th)
         assert n == math.ceil(math.log(1e9) / (2.0 * th.gamma(1e-7))) + 7
-        assert r.m_used <= n <= r.info.m_ceiling
+        assert r.m_used <= n <= r.m_ceiling
 
 
 class TestBatchGrowth:
@@ -1270,6 +1300,8 @@ class TestKernelBuffers:
         gamma = ThermalState(1.0).gamma(1e-6)
         start = math.ceil(lifshitz._GL_LADDER[-1][0] / gamma)
         mg, d = _term_inputs(au, au if plates == 1 else cu, 1e-6, 1.0, np.arange(start, start + 1792))
+        # from an empty stack: the spare buffers of earlier tests may be larger
+        monkeypatch.setattr(lifshitz._spare, "buffers", [])
         passes = []
         kernel_parts = lifshitz._mode_parts
 
