@@ -35,7 +35,7 @@ from .scenarios import (
     sweep_rows_to_csv,
 )
 
-__all__ = ["run", "main", "RunConfig"]
+__all__ = ["run", "main"]
 
 
 class _UsageError(Exception):
@@ -117,37 +117,6 @@ def parse_temperatures(text: str) -> list[float]:
     return [parse_temperature(p) for p in _split(text, ",", "temperatures")]
 
 
-class RunConfig:
-    """Materials available to one invocation: presets plus --drude/--table."""
-
-    def __init__(self, drude_specs=(), table_specs=()):
-        self.custom: dict[str, Material] = {}
-        for spec in drude_specs:
-            name, params = _parse_drude(spec, "--drude", named=True)
-            self.custom[name.lower()] = Material(name=name, model=params)
-        for spec in table_specs:
-            name, mat = _parse_table_spec(spec)
-            self.custom[name.lower()] = mat
-
-    def material(self, name: str) -> Material:
-        key = name.strip().lower()
-        if key in self.custom:
-            return self.custom[key]
-        try:
-            return material_preset(key)
-        except KeyError:
-            known = list(preset_names()) + [m.name for m in self.custom.values()]
-            raise _UsageError(
-                f"unknown material {name!r}; available: {', '.join(known)}"
-            ) from None
-
-    def pair(self, text: str) -> tuple[Material, Material]:
-        names = [p for p in text.split(",") if p.strip()]
-        if len(names) != 2:
-            raise _UsageError(f"a pair needs exactly two materials, got {text!r}")
-        return self.material(names[0]), self.material(names[1])
-
-
 def _parse_drude(spec: str, flag: str, named: bool) -> tuple[str, DrudeParams]:
     """'NAME:OMEGA_P:NU' (``named``) or 'OMEGA_P:NU' -> (name or '', DrudeParams); NU = 0 is plasma."""
     parts = spec.split(":")
@@ -158,13 +127,31 @@ def _parse_drude(spec: str, flag: str, named: bool) -> tuple[str, DrudeParams]:
     return parts[0].strip() if named else "", params
 
 
-def _parse_table_spec(spec: str) -> tuple[str, Material]:
-    name, sep, path = spec.partition("=")
-    if not sep or not name.strip() or not path.strip():
-        raise _UsageError(f"--table must be NAME=path.csv, got {spec!r}")
-    name = name.strip()
-    table = load_permittivity_table(path.strip())
-    return name, Material(name=name, model=table)
+def _materials(args) -> dict[str, Material]:
+    """The presets plus this run's --drude and --table materials, keyed by lower-case name."""
+    materials = {name.lower(): material_preset(name) for name in preset_names()}
+    for spec in args.drude:
+        name, params = _parse_drude(spec, "--drude", named=True)
+        materials[name.lower()] = Material(name=name, model=params)
+    for spec in args.table:
+        name, sep, path = spec.partition("=")
+        if not sep or not name.strip() or not path.strip():
+            raise _UsageError(f"--table must be NAME=path.csv, got {spec!r}")
+        name = name.strip()
+        materials[name.lower()] = Material(name=name, model=load_permittivity_table(path.strip()))
+    return materials
+
+
+def _pair(text: str, materials: dict[str, Material]) -> tuple[Material, Material]:
+    """The two materials of one 'A,B' pair, looked up in ``materials``."""
+    names = [p for p in text.split(",") if p.strip()]
+    if len(names) != 2:
+        raise _UsageError(f"a pair needs exactly two materials, got {text!r}")
+    for name in names:
+        if name.strip().lower() not in materials:
+            known = ", ".join(m.name for m in materials.values())
+            raise _UsageError(f"unknown material {name!r}; available: {known}")
+    return materials[names[0].strip().lower()], materials[names[1].strip().lower()]
 
 
 def _solver_options(args) -> SolverOptions:
@@ -186,8 +173,7 @@ def _row_text(row: SweepRow) -> str:
 
 
 def _cmd_pressure(args) -> str:
-    config = RunConfig(args.drude, args.table)
-    mat1, mat3 = config.pair(args.pair)
+    mat1, mat3 = _pair(args.pair, _materials(args))
     gap = parse_length(args.gap)
     temp = parse_temperature(args.temp)
     opts = _solver_options(args)
@@ -200,12 +186,12 @@ def _cmd_pressure(args) -> str:
 def _cmd_sweep(args) -> str:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    config = RunConfig(args.drude, args.table)
+    materials = _materials(args)
     if args.pairs.strip().lower() == "all":
         names = [",".join(p) for p in PRESET_PAIRS]
     else:
         names = _split(args.pairs, ";", "pairs")
-    pairs = tuple(config.pair(p) for p in names)
+    pairs = tuple(_pair(p, materials) for p in names)
     spec = SweepSpec(
         pairs=pairs,
         temperatures=tuple(parse_temperatures(args.temps)),
@@ -225,8 +211,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_diff(args) -> str:
-    config = RunConfig(args.drude, args.table)
-    mat1, mat3 = config.pair(args.pair)
+    mat1, mat3 = _pair(args.pair, _materials(args))
     temps = parse_temperatures(args.temps)
     if len(temps) != 2 or temps[0] == temps[1]:
         raise _UsageError(f"--temps needs exactly two distinct temperatures, got {args.temps!r}")
@@ -279,7 +264,6 @@ def _add_common(p: _Parser, *, jobs: bool = False) -> None:
     p.add_argument("--tol", type=float, default=SolverOptions.quad_tol, help="per-term quadrature tolerance")
     p.add_argument("--m-max", type=int, default=None, help="override the Matsubara sum ceiling")
     p.add_argument("--format", choices=("text", "csv"), default="text", help="output format")
-    p.add_argument("--output", default=None, help="write output to a file instead of stdout")
     p.add_argument(
         "--drude",
         action="append",
@@ -328,30 +312,23 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("materials", help="list built-in materials")
-    p.add_argument("--output", default=None, help="write output to a file instead of stdout")
     p.set_defaults(func=_cmd_materials)
 
     p = sub.add_parser("import-table", help="validate a permittivity CSV")
     p.add_argument("file", help="path to the CSV file")
     p.add_argument("--fallback", default=None, metavar="OMEGA_P:NU",
                    help="attach a Drude fallback, e.g. 9.0eV:35meV (0meV: plasma)")
-    p.add_argument("--output", default=None, help="write output to a file instead of stdout")
     p.set_defaults(func=_cmd_import_table)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write output to a file instead of stdout")
     return parser
 
 
 def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return exc.code if isinstance(exc.code, int) else 0
-    try:
+        args = build_parser().parse_args(argv)
         text = args.func(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -359,6 +336,8 @@ def run(argv) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

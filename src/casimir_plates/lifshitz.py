@@ -566,14 +566,13 @@ def matsubara_term(
     Raises
     ------
     ValueError
-        If m < 1; material evaluation failures propagate with m and zeta_m
-        attached.
+        If m is not an integer >= 1; material evaluation failures propagate
+        with m and zeta_m attached.
     QuadratureError
         If the finest exp-sinh level misses ``tol``.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"matsubara_term needs m >= 1, got {m}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"matsubara_term needs an integer m >= 1, got {m!r}")
     ms = np.array([m])
     d = _eps_minus_one(system.mat1, system.mat3, ms, thermal.zeta(ms))
     tm, te = _batch_parts(ms * thermal.gamma(system.gap), d, tol)

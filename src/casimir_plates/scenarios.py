@@ -67,9 +67,12 @@ def gap_grid(start: float, stop: float, spacing: str, count: int) -> np.ndarray:
     raise ValueError(f"spacing must be 'lin' or 'log', got {spacing!r}")
 
 
-def _require_positive(name: str, values) -> None:
+def _positive_floats(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each finite and > 0 (a list, tuple or ndarray)."""
+    values = tuple(float(x) for x in values)
     if not values or not all(0.0 < x < math.inf for x in values):  # False for NaN too
         raise ValueError(f"{name} must be non-empty, finite and all > 0")
+    return values
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,9 @@ class SweepSpec:
             if len(pair) != 2 or not all(isinstance(m, Material) for m in pair):
                 names = ", ".join(m.name if isinstance(m, Material) else repr(m) for m in pair)
                 raise ValueError(f"each pair must be two Materials, got ({names})")
-        _require_positive("temperatures", self.temperatures)
-        _require_positive("gaps", self.gaps)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "temperatures", tuple(sorted(float(t) for t in self.temperatures)))
-        object.__setattr__(self, "gaps", tuple(sorted(float(a) for a in self.gaps)))
+        object.__setattr__(self, "temperatures", tuple(sorted(_positive_floats("temperatures", self.temperatures))))
+        object.__setattr__(self, "gaps", tuple(sorted(_positive_floats("gaps", self.gaps))))
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def relative_correction_curve(
     """
     if T_low == T_high:
         raise ValueError(f"temperatures must differ, both are {T_low!r}")
-    _require_positive("temperatures", (T_low, T_high))
+    _positive_floats("temperatures", (T_low, T_high))
     gaps = tuple(gaps)
     if not gaps:
         return []
@@ -196,11 +197,11 @@ def _evaluate_unit(unit) -> list[SweepRow | Exception]:
     mat1, mat3, gaps, T, opts = unit
     try:
         results = casimir_pressures(mat1, mat3, gaps, ThermalState(T), opts)
+        shares = [r.tm_share for r in results]  # te = 1 - tm; a pressure that underflows to 0 fails here
     except Exception as exc:
         if len(gaps) == 1:
             return [exc]
         return [out for a in gaps for out in _evaluate_unit((mat1, mat3, [a], T, opts))]
-    shares = [r.tm_share for r in results]  # te_share is 1 - tm_share: one share computation per row
     return [
         SweepRow(_pair_label(mat1, mat3), mat1.name, mat3.name, a, T, r.abs_pressure, s, 1.0 - s, r.m_used)
         for a, r, s in zip(gaps, results, shares)

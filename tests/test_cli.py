@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from casimir_plates import scenarios
 from casimir_plates.cli import (
-    RunConfig,
     build_parser,
     parse_energy,
     parse_gaps,
@@ -159,6 +158,13 @@ class TestPressure:
         assert "unknown material" in err
         assert "Ag" in err
 
+    def test_unknown_material_lists_each_name_once(self, capsys):
+        """A --drude or --table name replaces the preset it shadows in the list."""
+        argv = ["pressure", "--pair", "Au,Ag", "--gap", "200nm", "--temp", "300", "--drude", "au:9eV:30meV",
+                "--drude", "My:9eV:1meV"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: unknown material 'Ag'; available: au, Cu, Al, My\n"
+
     def test_forced_low_ceiling_is_a_computation_error(self, capsys):
         code = run(
             ["pressure", "--pair", "Au,Au", "--gap", "1um", "--temp", "300", "--m-max", "3"]
@@ -182,6 +188,15 @@ class TestPressure:
         err = capsys.readouterr().err
         assert "budget" in err
         assert "--m-max" in err
+
+    @pytest.mark.parametrize("gap", ["1e101m", "1e200m"])
+    def test_pressure_lost_to_underflow_or_overflow_is_a_computation_error(self, gap, capsys):
+        """At 1e101 m the pressure underflows to 0, which has no mode shares."""
+        assert run(["pressure", "--pair", "Au,Au", "--gap", gap, "--temp", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cell failed: pair=Au-Au, a={float(gap[:-1]):g} m, T=300 K: ")
+        assert captured.err.count("\n") == 1
 
     def test_large_gap_default_ceiling(self, capsys):
         """At 20 um and 300 K the default ceiling leaves room for the truncation rule."""
@@ -209,7 +224,7 @@ class TestPressure:
         )
         assert code == 0
         value = float(_csv_data_rows(capsys.readouterr().out)[0].split(",")[5])
-        custom = RunConfig(["MyAu:9.0eV:35meV"]).material("MyAu")
+        custom = Material("MyAu", DrudeParams(parse_energy("9.0eV"), parse_energy("35meV")))
         assert custom.model == material_preset("Au").model
         direct = casimir_pressure(PlateSystem(au, au, gap=2e-7), ThermalState(300.0))
         assert value == float(f"{direct.abs_pressure:.12e}")

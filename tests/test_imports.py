@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import casimir_plates
 
 PACKAGE = Path(casimir_plates.__file__).resolve().parent
@@ -84,13 +86,10 @@ def _modules_loaded_by_the_cli_import(prefix):
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_numpy_polynomial_unloaded():
+@pytest.mark.parametrize("prefix", ["numpy.polynomial", "concurrent", "logging"])
+def test_cli_import_leaves_module_unloaded(prefix):
     """The Gauss-Laguerre rules are baked-in constants: numpy.polynomial would
-    add several ms and over 1 MB to every CLI process."""
-    assert _modules_loaded_by_the_cli_import("numpy.polynomial") == "[]"
-
-
-def test_cli_import_leaves_concurrent_futures_unloaded():
-    """Only a sweep with more than one worker needs the process pool, which
-    brings logging and the executor machinery into the import."""
-    assert _modules_loaded_by_the_cli_import("concurrent") == "[]"
+    add several ms and over 1 MB to every CLI process.  Only a sweep with more
+    than one worker needs the process pool, which brings logging and the
+    executor machinery into the import."""
+    assert _modules_loaded_by_the_cli_import(prefix) == "[]"

@@ -244,6 +244,10 @@ class TestMatsubaraTerm:
         system = PlateSystem(au, au, gap=1e-6)
         with pytest.raises(ValueError):
             matsubara_term(0, system, ThermalState(300.0))
+        for m in (2.7, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="integer m >= 1"):
+                matsubara_term(m, system, ThermalState(300.0))
+        assert matsubara_term(np.int64(2), system, ThermalState(300.0)) == matsubara_term(2, system, ThermalState(300.0))
 
     def test_tol_defaults_to_the_solver_default(self):
         assert inspect.signature(matsubara_term).parameters["tol"].default == SolverOptions().quad_tol

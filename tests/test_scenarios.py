@@ -81,6 +81,15 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match="finite"):
                 SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(bad,))
 
+    def test_accepts_ndarrays(self, au):
+        spec = SweepSpec(((au, au),), np.array([350.0, 300.0]), gap_grid(1e-7, 1e-6, "log", 3))
+        assert spec.temperatures == (300.0, 350.0)
+        assert spec.gaps == tuple(float(a) for a in gap_grid(1e-7, 1e-6, "log", 3))
+        assert all(type(x) is float for x in spec.temperatures + spec.gaps)
+        for temperatures, gaps in ((np.array([]), (1e-6,)), ((300.0,), np.array([1e-6, np.nan]))):
+            with pytest.raises(ValueError, match="must be non-empty, finite and all > 0"):
+                SweepSpec(((au, au),), temperatures, gaps)
+
     def test_rejects_a_pair_that_is_not_two_materials(self, au):
         for pair, shown in (
             (("Au", "Au"), "('Au', 'Au')"),
@@ -265,6 +274,14 @@ class TestSweep:
         assert type(one) is type(two) is TableRangeError
         assert one.index == two.index == 10
         assert str(raised[0]) == str(raised[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pressure_underflowing_to_zero_fails_its_cell(self, au, jobs):
+        """At 1e101 m |F| is 0 and has no mode shares: that cell fails, named."""
+        spec = SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(1e-6, 1e101))
+        with pytest.raises(RuntimeError, match=r"cell failed: pair=Au-Au, a=1e\+101 m, T=300 K") as info:
+            sweep(spec, jobs=jobs)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_aluminium_attracts_strongest(self, au, cu, al):
         pairs = ((al, al), (al, au), (al, cu), (au, au), (au, cu), (cu, cu))
