@@ -5,7 +5,8 @@ units, ``#`` lines recording the solver settings and constants).  Every
 other observable is a view of one sweep's rows: the temperature differences
 (how much thermal occupation of the Matsubara modes weakens the attraction)
 and the grouping of the preset pairs.  Only ``_evaluate_unit`` calls the
-solver, so all of them fail the same way, naming the cell.
+solver, so all of them fail the same way, naming the cell.  Sweeps with jobs > 1
+keep their worker processes (one per usable CPU at most) until the process exits.
 """
 
 from __future__ import annotations
@@ -240,23 +241,53 @@ def _assemble(units, outcomes) -> list[SweepRow]:
     return rows
 
 
+_pools = {}  # pid: (workers, pool, end) kept for that process's sweeps; a fork leaves its parent's
+
+
+def _pooled(units, workers: int) -> list[SweepRow]:
+    """:func:`_assemble` of ``units`` solved on this process's pool of ``workers``
+    processes, kept for later sweeps.  A pool of another size, or one whose worker
+    died (BrokenProcessPool), is shut down; a forked child starts its own."""
+    import concurrent.futures  # here, not at the top: it loads the process pool and logging
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
+
+    pid = os.getpid()
+    if pid in _pools and _pools[pid][0] != workers:
+        _pools.pop(pid)[2]()
+    if pid not in _pools:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        # exit ends the pool, but a multiprocessing child joins its children first:
+        # end it before that, and before its call queue's finalizer (priority 10)
+        _pools[pid] = (workers, pool, Finalize(None, pool.shutdown, exitpriority=20))
+    futures = []
+    try:
+        futures = [_pools[pid][1].submit(_evaluate_unit, unit) for unit in units]
+        return _assemble(units, (f.result() for f in futures))
+    except BrokenProcessPool:
+        _pools.pop(pid)[2]()
+        raise
+    finally:
+        for f in futures:
+            f.cancel()  # the units of a failing sweep that have not started
+
+
 def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1) -> list[SweepRow]:
     """Evaluate every (pair, T, a) cell of ``spec``.
 
     Rows come back ordered by (pair in given order, T ascending, a ascending).
     Runs of gaps of one (pair, T) are solved together as units (:func:`_units`)
-    in min(jobs, CPUs, units) worker processes (in-process for one), assembled
-    in order so that ``jobs`` never changes the output.  The first failing cell
-    raises a RuntimeError naming (pair, a, T), from the solver's own exception.
+    in min(jobs, usable CPUs, units) worker processes (in-process for one, else
+    kept for later sweeps until this process exits), assembled in order so that
+    ``jobs`` never changes the output.  The first failing cell raises a
+    RuntimeError naming (pair, a, T), from the solver's own exception.
     """
     units = _units(spec, opts)
-    workers = _worker_count(jobs, os.cpu_count(), len(units))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _worker_count(jobs, cpus, len(units))
     if workers == 1:
         return _assemble(units, map(_evaluate_unit, units))
-    import concurrent.futures  # here, not at the top: it loads the process pool and logging
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return _assemble(units, pool.map(_evaluate_unit, units))
+    return _pooled(units, workers)
 
 
 def _fmt(x: float) -> str:

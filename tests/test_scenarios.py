@@ -1,7 +1,14 @@
 """Temperature-difference observables, sweeps, grouping, and CSV rendering."""
 
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -250,6 +257,19 @@ class TestSweep:
         spec = SweepSpec(pairs=((au, au),), temperatures=(300.0,), gaps=(1e-6,))
         assert sweep(spec, jobs=4) == sweep(spec, jobs=1)
 
+    def test_workers_are_clamped_by_the_usable_cpus(self, au, monkeypatch):
+        """Two units and jobs=4 on a process allowed one CPU run in-process,
+        whatever os.cpu_count() says."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep on one usable CPU started a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(scenarios, "_pools", {})  # a kept pool would hide a new one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        spec = SweepSpec(pairs=((au, au),), temperatures=(300.0, 350.0), gaps=(1e-6,))
+        assert len(scenarios._units(spec, scenarios.DEFAULT_OPTIONS)) == 2
+        assert sweep(spec, jobs=4) == sweep(spec, jobs=1)
+
     def test_failing_cell_names_its_coordinates(self, au):
         bad = make_table_material(zeta=(1e12, 1e13), eps=(1e4, 1e3))
         spec = SweepSpec(pairs=((bad, au),), temperatures=(300.0,), gaps=(1e-6,))
@@ -351,6 +371,117 @@ class TestSweep:
             assert type(cause) is type(alone.value) is TableRangeError
             assert str(cause) == str(alone.value)
             assert cause.index == alone.value.index
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _sweep_into(conn, spec) -> None:
+    conn.send(sweep(spec, jobs=2))
+    conn.close()
+
+
+class TestWorkerPool:
+    """Sweeps with jobs > 1 share one kept pool per process (on any machine:
+    the usable CPUs are patched)."""
+
+    @pytest.fixture
+    def spec(self, au, cu, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return SweepSpec(pairs=((au, au), (cu, cu), (au, cu)), temperatures=(300.0,), gaps=(1e-6,))
+
+    def test_sweeps_run_on_the_same_workers(self, spec):
+        expected = sweep(spec, jobs=1)
+        assert sweep(spec, jobs=2) == expected
+        pids = _worker_pids()
+        assert sweep(spec, jobs=2) == expected
+        assert len(pids) == 2 and _worker_pids() == pids
+
+    def test_another_worker_count_replaces_the_pool(self, spec):
+        expected = sweep(spec, jobs=1)
+        assert sweep(spec, jobs=2) == expected
+        old = _worker_pids()
+        assert sweep(spec, jobs=3) == expected
+        new = _worker_pids()
+        assert len(old) == 2 and len(new) == 3 and not old & new
+        for pid in old:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_killed_worker_costs_at_most_one_sweep(self, spec):
+        """The sweep that meets the dead worker may raise BrokenProcessPool
+        (or finish first); every other sweep starts a fresh pool and succeeds."""
+        expected = sweep(spec, jobs=1)
+        assert sweep(spec, jobs=2) == expected
+        os.kill(min(_worker_pids()), signal.SIGKILL)
+        outcomes = []
+        for _ in range(3):
+            try:
+                outcomes.append(sweep(spec, jobs=2) == expected)
+            except BrokenProcessPool:
+                outcomes.append("broken")
+        assert outcomes in ([True, True, True], ["broken", True, True], [True, "broken", True])
+
+    def test_a_failing_sweep_cancels_its_waiting_units(self, spec, au, monkeypatch):
+        """The first unit fails at once while slow 1 K units wait behind it:
+        those not yet handed to a worker are cancelled, not left to delay the
+        next sweep."""
+        cancelled = []
+        cancel = Future.cancel
+
+        def spy(future):
+            cancelled.append(cancel(future))
+            return cancelled[-1]
+
+        monkeypatch.setattr(Future, "cancel", spy)
+        bad = make_table_material(zeta=(1e12, 1e13), eps=(1e4, 1e3))
+        failing = SweepSpec(pairs=((bad, au), (au, au)), temperatures=(1.0, 2.0), gaps=(1e-7, 2e-7, 5e-7, 1e-6))
+        with pytest.raises(RuntimeError, match="cell failed: pair=tab-Au"):
+            sweep(failing, jobs=2)
+        assert cancelled.count(True) > 0
+        assert sweep(spec, jobs=2) == sweep(spec, jobs=1)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_a_forked_child_starts_its_own_pool(self, spec):
+        """The child must neither wait on its parent's workers nor, at its
+        exit, on its own."""
+        expected = sweep(spec, jobs=2)
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_sweep_into, args=(writer, spec))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the child's sweep did not finish"
+            assert reader.recv() == expected
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            reader.close()
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_no_worker_outlives_the_interpreter(self):
+        code = (
+            "import multiprocessing, os\n"
+            "from casimir_plates import material_preset\n"
+            "from casimir_plates.scenarios import SweepSpec, sweep\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "au = material_preset('au')\n"
+            "sweep(SweepSpec(((au, au),), (300.0, 350.0), (1e-6,)), jobs=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        src = os.path.dirname(os.path.dirname(scenarios.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert out.returncode == 0, out.stderr
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestGroupOrdering:
