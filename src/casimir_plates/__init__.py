@@ -28,11 +28,9 @@ from .lifshitz import (
 from .quadrature import QuadratureError
 from .scenarios import (
     DiffResult,
-    PairGroup,
     SweepRow,
     SweepSpec,
     gap_grid,
-    group_ordering,
     relative_correction_curve,
     sweep,
     sweep_rows_to_csv,

@@ -8,7 +8,6 @@ layer assumes.  Built-in presets cover the common noble-metal choices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,10 +233,10 @@ def material_preset(name: str) -> Material:
 def load_permittivity_table(source, fallback: DrudeParams | None = None) -> PermittivityTable:
     """Parse a permittivity CSV into a :class:`PermittivityTable`.
 
-    ``source`` may be a filesystem path, raw bytes, or a binary file
-    object.  The format is UTF-8 text (LF or CRLF), ``#`` comment lines,
-    a literal ``zeta_rad_per_s,eps`` header, then one ``zeta,eps`` row per
-    sample with zeta strictly increasing and eps > 1, non-increasing.
+    ``source`` may be a filesystem path or raw bytes.  The format is UTF-8
+    text (LF or CRLF), ``#`` comment lines, a literal ``zeta_rad_per_s,eps``
+    header, then one ``zeta,eps`` row per sample with zeta strictly
+    increasing and eps > 1, non-increasing.
 
     Raises
     ------
@@ -245,13 +244,11 @@ def load_permittivity_table(source, fallback: DrudeParams | None = None) -> Perm
         On malformed rows (with the 1-based line number), a missing or
         wrong header, non-monotone zeta, eps <= 1 or eps rising with zeta.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, (bytes, bytearray)):
+    if isinstance(source, (bytes, bytearray)):
         raw = bytes(source)
     else:
-        raw = source.read()
+        with open(source, "rb") as fh:
+            raw = fh.read()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -3,10 +3,10 @@
 Sweeps evaluate grids of cells and render them as self-describing CSV (SI
 units, ``#`` lines recording the solver settings and constants).  Every
 other observable is a view of one sweep's rows: the temperature differences
-(how much thermal occupation of the Matsubara modes weakens the attraction)
-and the grouping of the preset pairs.  Only ``_evaluate_unit`` calls the
-solver, so all of them fail the same way, naming the cell.  Sweeps with jobs > 1
-keep their worker processes (one per usable CPU at most) until the process exits.
+(how much thermal occupation of the Matsubara modes weakens the attraction).
+Only ``_evaluate_unit`` calls the solver, so all of them fail the same way,
+naming the cell.  Sweeps with jobs > 1 keep their worker processes (one per
+usable CPU at most) until the process exits; a forked child forgets them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
-from .dispersion import Material, material_preset
+from .dispersion import Material
 from .lifshitz import (
     DEFAULT_OPTIONS,
     SUM_CONSECUTIVE,
@@ -35,14 +35,12 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "DiffResult",
-    "PairGroup",
     "PRESET_PAIRS",
     "temperature_difference",
     "relative_correction_curve",
     "sweep",
     "sweep_rows_to_csv",
     "diff_results_to_csv",
-    "group_ordering",
     "gap_grid",
 ]
 
@@ -132,16 +130,6 @@ class DiffResult:
     f_high_T: float
     delta: float
     relative: float
-
-
-@dataclass(frozen=True)
-class PairGroup:
-    """A set of material pairs ranked together by mean attraction strength."""
-
-    label: str
-    pairs: tuple[str, ...]
-    pressures: tuple[float, ...]
-    mean_pressure: float
 
 
 def _pair_label(mat1: Material, mat3: Material) -> str:
@@ -241,31 +229,45 @@ def _assemble(units, outcomes) -> list[SweepRow]:
     return rows
 
 
-_pools = {}  # pid: (workers, pool, end) kept for that process's sweeps; a fork leaves its parent's
+_pool = None  # (workers, pool, end) kept for this process's sweeps
+
+
+def _forget_pool() -> None:
+    """In a forked child: forget the parent's pool, whose workers its exit would join."""
+    global _pool
+    if _pool is not None:
+        from multiprocessing import process  # loaded already: the pool needed it
+        process._children.difference_update(_pool[1]._processes.values())
+        _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pooled(units, workers: int) -> list[SweepRow]:
-    """:func:`_assemble` of ``units`` solved on this process's pool of ``workers``
-    processes, kept for later sweeps.  A pool of another size, or one whose worker
-    died (BrokenProcessPool), is shut down; a forked child starts its own."""
+    """:func:`_assemble` of ``units`` solved on this process's pool of ``workers`` processes,
+    kept for later sweeps.  A pool of another size, or with a dead worker (BrokenProcessPool), ends."""
     import concurrent.futures  # here, not at the top: it loads the process pool and logging
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing.util import Finalize
 
-    pid = os.getpid()
-    if pid in _pools and _pools[pid][0] != workers:
-        _pools.pop(pid)[2]()
-    if pid not in _pools:
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _pool[2]()
+        _pool = None
+    if _pool is None:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         # exit ends the pool, but a multiprocessing child joins its children first:
         # end it before that, and before its call queue's finalizer (priority 10)
-        _pools[pid] = (workers, pool, Finalize(None, pool.shutdown, exitpriority=20))
+        _pool = (workers, pool, Finalize(None, pool.shutdown, exitpriority=20))
     futures = []
     try:
-        futures = [_pools[pid][1].submit(_evaluate_unit, unit) for unit in units]
+        futures = [_pool[1].submit(_evaluate_unit, unit) for unit in units]
         return _assemble(units, (f.result() for f in futures))
     except BrokenProcessPool:
-        _pools.pop(pid)[2]()
+        _pool[2]()
+        _pool = None
         raise
     finally:
         for f in futures:
@@ -281,7 +283,10 @@ def sweep(spec: SweepSpec, opts: SolverOptions = DEFAULT_OPTIONS, jobs: int = 1)
     kept for later sweeps until this process exits), assembled in order so that
     ``jobs`` never changes the output.  The first failing cell raises a
     RuntimeError naming (pair, a, T), from the solver's own exception.
+    ``jobs`` that is not an integer >= 1 raises ValueError before any cell runs.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     units = _units(spec, opts)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = _worker_count(jobs, cpus, len(units))
@@ -332,43 +337,3 @@ def diff_results_to_csv(
 
 #: the six preset pairs, in the order ``sweep --pairs all`` lists them
 PRESET_PAIRS = (("Au", "Au"), ("Au", "Cu"), ("Cu", "Cu"), ("Al", "Al"), ("Al", "Au"), ("Al", "Cu"))
-
-
-def group_ordering(
-    a: float,
-    T: float,
-    pairs: list[tuple[str, str]] | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> list[PairGroup]:
-    """Rank the preset material pairs by mean |F| at one (a, T) cell.
-
-    The six preset pairs split into three groups (pure Al / Al with a noble
-    metal / noble-noble); higher plasma frequency means stronger
-    attraction, so the groups come out ordered I > II > III by group-mean
-    |F|.  Passing an explicit ``pairs`` subset restricts the grouping
-    (a single pair degenerates to one group of one).  Only preset material
-    names are supported.
-    """
-    chosen = PRESET_PAIRS
-    if pairs is not None:
-        def key(p):
-            return tuple(sorted((p[0].lower(), p[1].lower())))
-
-        requested = {key(p) for p in pairs}
-        unknown = requested - {key(p) for p in PRESET_PAIRS}
-        if unknown:
-            raise ValueError(f"unsupported pairs for grouping: {sorted(unknown)}")
-        chosen = [p for p in PRESET_PAIRS if key(p) in requested]
-    if not chosen:
-        return []
-    spec = SweepSpec(tuple((material_preset(n1), material_preset(n2)) for n1, n2 in chosen), (T,), (a,))
-    rows = sweep(spec, opts)
-
-    out = []
-    # a pair's group is set by its number of Al plates
-    for label, n_al in (("I", 2), ("II", 1), ("III", 0)):
-        group = [r for r in rows if (r.material_1, r.material_2).count("Al") == n_al]
-        if group:
-            pressures = tuple(r.pressure for r in group)
-            out.append(PairGroup(label, tuple(r.pair for r in group), pressures, float(np.mean(pressures))))
-    return out

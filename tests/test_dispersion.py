@@ -218,14 +218,16 @@ class TestLoader:
         assert table.zeta_max == 1e16
         assert table.fallback is None
 
-    def test_accepts_path_bytes_and_file_object(self, tmp_path):
+    def test_accepts_path_and_bytes(self, tmp_path):
         path = tmp_path / "eps.csv"
         path.write_bytes(VALID_CSV)
         from_path = load_permittivity_table(path)
         from_bytes = load_permittivity_table(VALID_CSV)
-        from_file = load_permittivity_table(io.BytesIO(VALID_CSV))
         assert np.array_equal(from_path.zeta, from_bytes.zeta)
-        assert np.array_equal(from_bytes.eps, from_file.eps)
+        assert np.array_equal(from_path.eps, from_bytes.eps)
+        assert np.array_equal(load_permittivity_table(str(path)).eps, from_bytes.eps)
+        with pytest.raises(TypeError):
+            load_permittivity_table(io.BytesIO(VALID_CSV))
 
     def test_accepts_crlf_bom_comments_and_blanks(self):
         raw = b"\xef\xbb\xbf# source: bench run\r\n\r\nzeta_rad_per_s,eps\r\n1e12,1e6\r\n# midpoint\r\n1e14,1e3\r\n"

@@ -1,6 +1,8 @@
-"""Import hygiene: no private names across modules, no dead imports, and a lean CLI import."""
+"""Import hygiene: no private names across modules, no dead imports, no stale
+exports, and a lean CLI import."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -41,6 +43,28 @@ def test_only_the_tracer_targets_are_imported_unused():
                     if name not in used:
                         unused.append(f"{path.stem}.{name}")
     assert unused == ["lifshitz.adaptive_pair_quadrature", "scenarios.casimir_pressure"]
+
+
+def test_exports_resolve_and_the_package_reexports_only_exports():
+    """Every name in a module's ``__all__`` exists, and every name the package
+    imports from a module with an ``__all__`` is listed there: a deletion that
+    leaves an export behind fails here, not first at ``import *``."""
+    reexported = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            reexported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    checked, stale = [], []
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}):
+        module = importlib.import_module(f"casimir_plates.{path.stem}")
+        exports = getattr(module, "__all__", None)
+        if exports is None:
+            continue
+        checked.append(path.stem)
+        stale += [f"{path.stem}.__all__: {name}" for name in exports if not hasattr(module, name)]
+        imported = reexported.get(path.stem, ())
+        stale += [f"__init__ imports {path.stem}.{name}" for name in imported if name not in exports]
+    assert not stale, stale
+    assert {"dispersion", "lifshitz", "quadrature", "scenarios"} <= set(checked)
 
 
 def test_the_solver_imports_no_panel_quadrature():
@@ -86,7 +110,7 @@ def _modules_loaded_by_the_cli_import(prefix):
     return out.stdout.strip()
 
 
-@pytest.mark.parametrize("prefix", ["numpy.polynomial", "concurrent", "logging"])
+@pytest.mark.parametrize("prefix", ["numpy.polynomial", "concurrent", "logging", "multiprocessing"])
 def test_cli_import_leaves_module_unloaded(prefix):
     """The Gauss-Laguerre rules are baked-in constants: numpy.polynomial would
     add several ms and over 1 MB to every CLI process.  Only a sweep with more

@@ -1329,6 +1329,41 @@ class TestKernelBuffers:
         assert peak - base <= 3 * 256 * 70 * 8
 
 
+class TestScalingLaw:
+    """P(la, T/l; w_p/l, nu/l) = l**-4 P(a, T; w_p, nu) for any l > 0.
+
+    The pressure is hbar c / a**4 times a function of a k_B T / (hbar c),
+    w_p a / c and nu a / c, and the solver picks its terms and rules from
+    such dimensionless numbers, so the law holds to rounding with the same
+    m_used.  It catches a wrong power of a, T or a frequency anywhere on the
+    way to the pressure; it cannot catch a wrong constant value or a wrong
+    integrand, which both sides share.
+    """
+
+    @pytest.mark.parametrize(
+        ("names", "plasma"),
+        [(("au", "au"), False), (("au", "au"), True), (("al", "cu"), False)],
+        ids=["drude", "plasma", "unequal"],
+    )
+    @settings(deadline=None, derandomize=True, max_examples=12)
+    @given(
+        a=st.floats(min_value=5e-8, max_value=3e-6),
+        T=st.floats(min_value=1.0, max_value=350.0),
+        scale=st.floats(min_value=0.3, max_value=10.0),
+    )
+    def test_pressure_scales_as_the_inverse_fourth_power(self, names, plasma, a, T, scale):
+        models = [material_preset(name).model for name in names]
+
+        def plates(lam):
+            nus = [0.0 if plasma else m.nu / lam for m in models]
+            return [Material(n, DrudeParams(m.omega_p / lam, nu)) for n, m, nu in zip(names, models, nus)]
+
+        base = casimir_pressure(PlateSystem(*plates(1.0), gap=a), ThermalState(T))
+        scaled = casimir_pressure(PlateSystem(*plates(scale), gap=scale * a), ThermalState(T / scale))
+        assert scaled.m_used == base.m_used
+        assert scaled.pressure * scale**4 == pytest.approx(base.pressure, rel=1e-13, abs=0.0)
+
+
 class TestIdealMetal:
     def test_reference_values(self):
         assert ideal_metal_pressure_T0(1e-6) == pytest.approx(IM_1UM, rel=1e-12)

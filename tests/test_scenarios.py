@@ -1,4 +1,4 @@
-"""Temperature-difference observables, sweeps, grouping, and CSV rendering."""
+"""Temperature-difference observables, sweeps and CSV rendering."""
 
 import math
 import multiprocessing
@@ -24,7 +24,6 @@ from casimir_plates.scenarios import (
     _worker_count,
     diff_results_to_csv,
     gap_grid,
-    group_ordering,
     relative_correction_curve,
     sweep,
     sweep_rows_to_csv,
@@ -249,6 +248,18 @@ class TestSweep:
     def test_worker_count_is_clamped(self, jobs, cpus, cells, expected):
         assert _worker_count(jobs, cpus, cells) == expected
 
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
+    def test_rejects_jobs_that_are_not_an_integer_of_at_least_one(self, au, jobs, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        spec = SweepSpec(pairs=((au, au),), temperatures=(300.0, 350.0), gaps=(1e-6,))
+        expected = sweep(spec, jobs=1)
+        assert sweep(spec, jobs=np.int64(1)) == expected
+        monkeypatch.setattr(scenarios, "casimir_pressures", no_cell)
+        with pytest.raises(ValueError, match=re.escape(f"jobs must be an integer >= 1, got {jobs!r}")):
+            sweep(spec, jobs=jobs)
+
     def test_one_cell_never_starts_a_pool(self, au, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-cell sweep started a process pool")
@@ -264,7 +275,7 @@ class TestSweep:
             raise AssertionError("a sweep on one usable CPU started a process pool")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(scenarios, "_pools", {})  # a kept pool would hide a new one
+        monkeypatch.setattr(scenarios, "_pool", None)  # a kept pool would hide a new one
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         spec = SweepSpec(pairs=((au, au),), temperatures=(300.0, 350.0), gaps=(1e-6,))
         assert len(scenarios._units(spec, scenarios.DEFAULT_OPTIONS)) == 2
@@ -464,18 +475,7 @@ class TestWorkerPool:
                 child.join()
 
     def test_no_worker_outlives_the_interpreter(self):
-        code = (
-            "import multiprocessing, os\n"
-            "from casimir_plates import material_preset\n"
-            "from casimir_plates.scenarios import SweepSpec, sweep\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "au = material_preset('au')\n"
-            "sweep(SweepSpec(((au, au),), (300.0, 350.0), (1e-6,)), jobs=2)\n"
-            "print(*[p.pid for p in multiprocessing.active_children()])\n"
-        )
-        src = os.path.dirname(os.path.dirname(scenarios.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        out = _after_a_jobs2_sweep("print(*[p.pid for p in multiprocessing.active_children()])\n")
         assert out.returncode == 0, out.stderr
         pids = [int(pid) for pid in out.stdout.split()]
         assert len(pids) == 2
@@ -483,32 +483,34 @@ class TestWorkerPool:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_a_plainly_forked_child_exits_quietly(self):
+        """The kept workers are the parent's: the exit of an os.fork() child
+        must not try to join them."""
+        out = _after_a_jobs2_sweep(
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", "")
 
-class TestGroupOrdering:
-    def test_three_groups_ranked_by_mean(self):
-        groups = group_ordering(2e-7, 300.0)
-        assert [g.label for g in groups] == ["I", "II", "III"]
-        assert groups[0].pairs == ("Al-Al",)
-        assert set(groups[1].pairs) == {"Al-Au", "Al-Cu"}
-        assert set(groups[2].pairs) == {"Au-Au", "Au-Cu", "Cu-Cu"}
-        assert groups[0].mean_pressure > groups[1].mean_pressure > groups[2].mean_pressure
-        for g in groups:
-            assert g.mean_pressure == pytest.approx(np.mean(g.pressures), rel=1e-15)
 
-    def test_ordering_holds_at_large_gap(self):
-        groups = group_ordering(2e-6, 300.0)
-        assert groups[0].mean_pressure > groups[1].mean_pressure > groups[2].mean_pressure
-
-    def test_subset_degenerates(self):
-        groups = group_ordering(2e-7, 300.0, pairs=[("Au", "Au")])
-        assert len(groups) == 1
-        assert groups[0].label == "III"
-        assert groups[0].pairs == ("Au-Au",)
-        assert group_ordering(2e-7, 300.0, pairs=[]) == []
-
-    def test_unknown_pair_rejected(self):
-        with pytest.raises(ValueError, match="unsupported pairs"):
-            group_ordering(2e-7, 300.0, pairs=[("Au", "Ag")])
+def _after_a_jobs2_sweep(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter after a jobs=2 sweep on two usable CPUs."""
+    code = (
+        "import multiprocessing, os, sys\n"
+        "from casimir_plates import material_preset\n"
+        "from casimir_plates.scenarios import SweepSpec, sweep\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "au = material_preset('au')\n"
+        "sweep(SweepSpec(((au, au),), (300.0, 350.0), (1e-6,)), jobs=2)\n"
+    ) + code
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # newer Pythons warn when a process with threads forks; that is not the child's exit
+    args = [sys.executable, "-W", "ignore::DeprecationWarning", "-c", code]
+    return subprocess.run(args, capture_output=True, text=True, timeout=120, env=env)
 
 
 class TestCsvRendering:
